@@ -14,7 +14,7 @@ from .milnor import (CriticalFactor, JordanProfile, MilnorAlgebra, TameResult,
                      check_tame, critical_value_factors, exponent,
                      jordan_profile, kernel_condition, milnor_algebra,
                      min_poly, multiplication_operator, standard_monomials,
-                     theta_polynomial)
+                     theta_polynomial, tjurina_number)
 from .poly import (GREVLEX, NEG_INFINITY, OneForm, Polynomial, TermOrder,
                    TwoForm, Weights, exterior_derivative, field_from_minpoly,
                    format_one_form, format_polynomial, parse_polynomial,

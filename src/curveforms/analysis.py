@@ -39,6 +39,7 @@ class AnalysisReport:
     leading_form: Optional[Polynomial] = None
     not_tame_reason: Optional[str] = None
     mu: Optional[int] = None
+    tau: Optional[int] = None
     min_poly: Optional[UniPoly] = None
     exponent: Optional[int] = None
     critical_factors: list = dc_field(default_factory=list)
@@ -71,6 +72,7 @@ class AnalysisReport:
             doc["reason"] = self.not_tame_reason
         if self.mu is not None:
             doc["mu"] = self.mu
+            doc["tau"] = self.tau
         if self.min_poly is not None:
             doc["min_poly"] = str(self.min_poly)
             doc["exponent"] = self.exponent
@@ -120,6 +122,7 @@ class AnalysisReport:
             lines.append(f"reason: {self.not_tame_reason}")
         if self.mu is not None:
             lines.append(f"mu = {self.mu}")
+            lines.append(f"tau = {self.tau}")
         if self.min_poly is not None:
             lines.append(f"minimal polynomial: {self.min_poly}")
             lines.append(f"exponent: {self.exponent}")
@@ -185,15 +188,22 @@ def analyze(f: Polynomial, weights: Weights = Weights(1, 1), *,
     t0 = time.perf_counter()
     ma = milnor.milnor_algebra(f, weights, allow_untame=allow_untame)
     report.mu = ma.mu
+    report.tau = milnor.tjurina_number(ma)
     op = milnor.multiplication_operator(ma)
     p = milnor.min_poly(op)
     report.min_poly = p
     report.exponent = milnor.exponent(p)
     report.critical_factors = milnor.critical_value_factors(p)
+    t = UniPoly.t(f.field)
+    zero_profile = None
     for cfac in report.critical_factors:
-        report.jordan.append(milnor.jordan_profile(op, cfac.factor, p))
+        profile = milnor.jordan_profile(op, cfac.factor, p)
+        report.jordan.append(profile)
+        if cfac.factor == t:
+            zero_profile = profile
     if report.exponent >= 1:
-        zero_profile = milnor.jordan_profile(op, UniPoly.t(f.field), p)
+        if zero_profile is None:
+            zero_profile = milnor.jordan_profile(op, t, p)
         warning = appendix_block_warning(zero_profile)
         if warning:
             report.warnings.append(warning)

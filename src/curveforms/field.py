@@ -387,7 +387,7 @@ class NumberField:
         return f"QQ[{self.generator_name}]/({format_univariate(self.minpoly, self.generator_name)})"
 
 
-Field = Union[RationalField, NumberField]
+Field = RationalField | NumberField
 
 
 def check_same_field(a: Field, b: Field):

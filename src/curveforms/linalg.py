@@ -1,9 +1,15 @@
 """Exact dense linear algebra over the coefficient field.
 
 Rank uses fraction-free (Bareiss) elimination; kernels come from reduced
-row echelon form.  Univariate polynomials carry the minimal-polynomial and
-squarefree-decomposition machinery.  No eigenvectors are ever computed:
-Jordan data downstream is recovered purely from rank sequences.
+row echelon form.  `sequence_annihilator` finds the first linear dependence
+in a sequence of vectors by an incremental echelon solve; the Milnor layer
+feeds it the Krylov sequence [1], [f], [f^2], ... of its algebra.
+Univariate polynomials carry the squarefree-decomposition machinery.  No
+eigenvectors are ever computed.
+
+`matrix_min_poly`, `UniPoly.eval_matrix` and `Matrix.__mul__` work on whole
+matrices and powers of them; the pipeline no longer calls them, and they
+are kept as the dense reference that the tests compare against.
 """
 
 from __future__ import annotations
@@ -46,25 +52,10 @@ class Matrix:
         rows = len(columns[0])
         return cls(field, [[col[r] for col in columns] for r in range(rows)])
 
-    def column(self, j: int):
-        return [row[j] for row in self.entries]
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return self.field == other.field and self.entries == other.entries
-
-    def __add__(self, other):
-        check_same_field(self.field, other.field)
-        return Matrix(self.field,
-                      [[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        check_same_field(self.field, other.field)
-        return Matrix(self.field,
-                      [[a - b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.entries, other.entries)])
 
     def scale(self, c) -> "Matrix":
         return Matrix(self.field, [[a * c for a in row] for row in self.entries])
@@ -89,15 +80,19 @@ class Matrix:
         return self.scale(other)
 
     def apply(self, vec: Sequence):
-        """Matrix-vector product."""
+        """Matrix-vector product; zero coordinates and entries are skipped."""
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
+        is_zero = self.field.is_zero
+        support = [(j, v) for j, v in enumerate(vec) if not is_zero(v)]
         zero = self.field.zero
         out = []
         for row in self.entries:
             s = zero
-            for a, v in zip(row, vec):
-                s = s + a * v
+            for j, v in support:
+                a = row[j]
+                if not is_zero(a):
+                    s = s + a * v
             out.append(s)
         return out
 
@@ -391,45 +386,48 @@ def format_univariate(coeffs, var: str = "t", field: Field = QQ) -> str:
     return "".join(parts) if parts else "0"
 
 
+def sequence_annihilator(field: Field, vectors) -> UniPoly:
+    """Monic c with sum c_i * v_i = 0, where v_k is the first vector of
+    ``vectors`` that depends linearly on v_0, ..., v_{k-1}.
+
+    Every vector is reduced against an incremental echelon form whose rows
+    carry their expression in the earlier vectors; the first vector that
+    reduces to zero yields the coefficients exactly.  For the sequence v,
+    Av, A^2 v, ... the result is the annihilator of v under A.
+    """
+    zero = field.is_zero
+    echelon = []  # list of (pivot index, row list, expr list)
+    for k, vec in enumerate(vectors):
+        expr = [field.zero] * k + [field.one]
+        for pivot, row, rexpr in echelon:
+            c = vec[pivot]
+            if not zero(c):
+                vec = [a - c * b for a, b in zip(vec, row)]
+                for idx, e in enumerate(rexpr):
+                    expr[idx] = expr[idx] - c * e
+        lead = next((idx for idx, a in enumerate(vec) if not zero(a)), None)
+        if lead is None:
+            # earlier rows carry no v_k term, so expr[k] is still one
+            return UniPoly(expr, field)
+        inv = 1 / vec[lead]
+        echelon.append((lead, [a * inv for a in vec], [e * inv for e in expr]))
+    raise AssertionError("the vectors admit no linear dependence")
+
+
 def matrix_min_poly(m: Matrix) -> UniPoly:
     """Monic minimal polynomial via linear dependence among I, M, M^2, ...
 
-    Powers are flattened and fed to an incremental echelon solve; the first
-    dependent power yields the coefficients exactly.
+    Powers are flattened to n^2-long vectors; the dense reference for the
+    Krylov minimal polynomial of the Milnor layer.
     """
     if not m.is_square():
         raise NotSquare("minimal polynomial needs a square matrix")
-    field = m.field
     n = m.rows
-    if n == 0:
-        return UniPoly.one(field)
-    dim = n * n
-    zero = field.is_zero
-    # rows of the echelon form, each paired with its expression in powers
-    echelon = []  # list of (pivot index, row list, expr list)
-    power = Matrix.identity(field, n)
-    k = 0
-    while True:
-        flat = [power.entries[i][j] for i in range(n) for j in range(n)]
-        expr = [field.zero] * (k + 1)
-        expr[k] = field.one
-        for pivot, row, rexpr in echelon:
-            c = flat[pivot]
-            if not zero(c):
-                flat = [a - c * b for a, b in zip(flat, row)]
-                for idx, e in enumerate(rexpr):
-                    expr[idx] = expr[idx] - c * e
-        lead = next((idx for idx in range(dim) if not zero(flat[idx])), None)
-        if lead is None:
-            # dependence found: sum expr[i] * M^i = 0
-            inv = 1 / expr[k]
-            coeffs = [e * inv for e in expr]
-            return UniPoly(coeffs, field)
-        inv = 1 / flat[lead]
-        row = [a * inv for a in flat]
-        rexpr = [e * inv for e in expr] + [field.zero] * 0
-        echelon.append((lead, row, rexpr))
-        power = power * m
-        k += 1
-        if k > n:
-            raise AssertionError("minimal polynomial search exceeded dimension")
+
+    def flat_powers():
+        power = Matrix.identity(m.field, n)
+        for _ in range(n + 1):
+            yield [a for row in power.entries for a in row]
+            power = power * m
+
+    return sequence_annihilator(m.field, flat_powers())

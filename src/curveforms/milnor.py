@@ -3,6 +3,15 @@
 V = K[x,y]/<f_x, f_y> with a standard-monomial basis, the matrix of the
 multiplication-by-f operator, its minimal polynomial, the multiplicity of
 the root 0, and Jordan block sizes recovered from rank sequences.
+
+V is a unital commutative algebra, so nothing here needs powers of the
+mu x mu matrix.  The minimal polynomial of multiplication by f is the
+annihilator of the class [1], read off the Krylov sequence [1], [f],
+[f^2], ... (Wiedemann 1986).  Multiplication by a class g has the ideal
+(g) of V as its image, so its rank is mu - dim K[x,y]/<f_x, f_y, g>, a
+count of standard monomials; rank sequences and the Tjurina number
+tau = dim K[x,y]/<f_x, f_y, f> are quotient dimensions.  The dense
+routines of `linalg` are kept as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -13,7 +22,10 @@ from typing import Optional
 from .errors import (FactorNotDividing, InvariantViolation, NotFiniteDimensional,
                      NotInKernel, NotTame, SmoothCurve, ZeroInput)
 from .groebner import GroebnerBasis, buchberger
-from .linalg import Matrix, UniPoly, matrix_min_poly
+from .linalg import Matrix, UniPoly, sequence_annihilator
+# the dense reference stays bound here: bench/test_bench.py reads
+# milnor.matrix_min_poly when it checks the tracer's bindings
+from .linalg import matrix_min_poly  # noqa: F401
 from .poly import Polynomial, TermOrder, Weights
 
 
@@ -149,18 +161,68 @@ def milnor_algebra(f: Polynomial, weights: Weights = Weights(1, 1), *,
     return ma
 
 
-def multiplication_operator(ma: MilnorAlgebra) -> Matrix:
+class MultiplicationOperator(Matrix):
+    """Matrix of multiplication by f on V_f, together with the algebra it
+    acts on; the Milnor routines read their data from ``algebra``."""
+
+    __slots__ = ("algebra",)
+
+    def __init__(self, algebra: MilnorAlgebra, entries):
+        super().__init__(algebra.field, entries)
+        self.algebra = algebra
+
+
+def multiplication_operator(ma: MilnorAlgebra) -> MultiplicationOperator:
     """Matrix of [P] -> [f*P]; column i holds the coordinates of f*basis_i."""
     columns = [ma.coordinates(ma.f * Polynomial.term(ma.field.one, m, ma.field))
                for m in ma.basis]
-    if not columns:
-        return Matrix.zeros(ma.field, 0, 0)
-    return Matrix.from_columns(ma.field, columns)
+    return MultiplicationOperator(
+        ma, [[col[r] for col in columns] for r in range(ma.mu)])
 
 
-def min_poly(op: Matrix) -> UniPoly:
-    """Monic minimal polynomial of the multiplication operator."""
-    return matrix_min_poly(op)
+def _algebra_of(op) -> MilnorAlgebra:
+    if not isinstance(op, MultiplicationOperator):
+        raise TypeError("expected the operator built by multiplication_operator")
+    return op.algebra
+
+
+def _unit_coordinates(ma: MilnorAlgebra):
+    return ma.coordinates(Polynomial.constant(1, ma.field))
+
+
+def _apply_poly(h: UniPoly, op: Matrix, vec):
+    """h(op) applied to vec, by Horner's rule in op.apply."""
+    out = [op.field.zero] * len(vec)
+    for c in reversed(h.coeffs):
+        out = [a + c * b for a, b in zip(op.apply(out), vec)]
+    return out
+
+
+def _quotient_dimension(ma: MilnorAlgebra, g) -> int:
+    """dim V_f/(g) = dim K[x,y]/<f_x, f_y, g> for g in normal form."""
+    if g.is_zero():
+        return ma.mu
+    gb = buchberger(list(ma.gb.generators) + [g], ma.order)
+    return len(standard_monomials(gb, ma.order))
+
+
+def tjurina_number(ma: MilnorAlgebra) -> int:
+    """tau = dim K[x,y]/<f_x, f_y, f>; multiplication by f has rank mu - tau."""
+    return _quotient_dimension(ma, ma.gb.normal_form(ma.f))
+
+
+def _krylov(op: Matrix, vec):
+    """vec, op(vec), op^2(vec), ..., op^n(vec) for n = op.rows."""
+    for _ in range(op.rows + 1):
+        yield vec
+        vec = op.apply(vec)
+
+
+def min_poly(op: MultiplicationOperator) -> UniPoly:
+    """Monic minimal polynomial of the multiplication operator: the
+    annihilator of [1] in the Krylov sequence [1], [f], [f^2], ..."""
+    unit = _unit_coordinates(_algebra_of(op))
+    return sequence_annihilator(op.field, _krylov(op, unit))
 
 
 def exponent(p: UniPoly) -> int:
@@ -203,24 +265,9 @@ class JordanProfile:
         return max(self.blocks, default=0)
 
 
-def jordan_profile(op: Matrix, factor: UniPoly,
-                   minimal: Optional[UniPoly] = None) -> JordanProfile:
-    """Block sizes at the roots of ``factor`` from the rank sequence of
-    factor(op)^k: the count of blocks of size >= k is r_{k-1} - r_k."""
-    if minimal is None:
-        minimal = matrix_min_poly(op)
-    if not (minimal % factor).is_zero():
-        raise FactorNotDividing(
-            f"{factor} does not divide the minimal polynomial {minimal}")
-    h = factor.eval_matrix(op)
-    ranks = [op.rows]
-    power = h
-    while True:
-        r = power.rank()
-        ranks.append(r)
-        if r == ranks[-2]:
-            break
-        power = power * h
+def blocks_from_ranks(ranks) -> dict:
+    """Jordan block counts {size: count} from the rank sequence r_0 = n,
+    r_1, ..., r_m = r_{m-1} of h(A)^k: r_{k-1} - r_k blocks have size >= k."""
     at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
     blocks = {}
     for size in range(1, len(at_least) + 1):
@@ -229,26 +276,43 @@ def jordan_profile(op: Matrix, factor: UniPoly,
         count = ge_here - ge_next
         if count:
             blocks[size] = count
-    return JordanProfile(factor, blocks)
+    return blocks
 
 
-def theta_polynomial(ma: MilnorAlgebra, op: Matrix,
+def jordan_profile(op: MultiplicationOperator, factor: UniPoly,
+                   minimal: Optional[UniPoly] = None) -> JordanProfile:
+    """Block sizes at the roots of ``factor`` from the rank sequence of
+    factor(op)^k.  factor(op)^k is multiplication by g_k = factor(f)^k, so
+    its rank is mu - dim K[x,y]/<f_x, f_y, g_k>; the coordinates of g_k
+    come from applying factor(op) to those of g_{k-1}."""
+    ma = _algebra_of(op)
+    if minimal is None:
+        minimal = min_poly(op)
+    if not (minimal % factor).is_zero():
+        raise FactorNotDividing(
+            f"{factor} does not divide the minimal polynomial {minimal}")
+    ranks = [ma.mu]
+    vec = _unit_coordinates(ma)
+    while True:
+        vec = _apply_poly(factor, op, vec)
+        ranks.append(ma.mu - _quotient_dimension(ma, ma.from_coordinates(vec)))
+        if ranks[-1] == ranks[-2]:
+            break
+    return JordanProfile(factor, blocks_from_ranks(ranks))
+
+
+def theta_polynomial(ma: MilnorAlgebra, op: MultiplicationOperator,
                      minimal: Optional[UniPoly] = None) -> Polynomial:
     """Degree-bounded representative of q(f) in V_f, where p(t) = t*q(t).
 
     Computed as q(op) applied to the coordinates of [1], never by expanding
     q(f) symbolically."""
     if minimal is None:
-        minimal = matrix_min_poly(op)
+        minimal = min_poly(op)
     if exponent(minimal) < 1:
         raise SmoothCurve("0 is not a critical value; no kernel witness exists")
     q = minimal.shift_down(1)
-    one_vec = ma.coordinates(Polynomial.constant(1, ma.field))
-    vec = [ma.field.zero] * ma.mu
-    for c in reversed(q.coeffs):
-        vec = op.apply(vec)
-        vec = [a + c * b for a, b in zip(vec, one_vec)]
-    theta = ma.from_coordinates(vec)
+    theta = ma.from_coordinates(_apply_poly(q, op, _unit_coordinates(ma)))
     if theta.is_zero():
         raise InvariantViolation("q(f) vanished in V_f; minimal polynomial wrong")
     if not ma.gb.reduces_to_zero(ma.f * theta):
@@ -256,13 +320,14 @@ def theta_polynomial(ma: MilnorAlgebra, op: Matrix,
     return theta
 
 
-def kernel_condition(ma: MilnorAlgebra, op: Matrix, theta: Polynomial) -> bool:
-    """True iff the classes theta*b, b over the basis, span ker(op)."""
+def kernel_condition(ma: MilnorAlgebra, op: MultiplicationOperator,
+                     theta: Polynomial) -> bool:
+    """True iff the classes theta*b, b over the basis, span ker(op).
+
+    They span the ideal (theta) of V_f, of dimension mu - dim V_f/(theta),
+    inside ker(op), whose dimension is mu - rank(op) = tau."""
     tvec = ma.coordinates(theta)
     if any(not ma.field.is_zero(c) for c in op.apply(tvec)):
         raise NotInKernel("theta is not annihilated by multiplication by f")
-    columns = [ma.coordinates(theta * Polynomial.term(ma.field.one, m, ma.field))
-               for m in ma.basis]
-    span = Matrix.from_columns(ma.field, columns)
-    kernel_dim = ma.mu - op.rank()
-    return span.rank() == kernel_dim
+    span_dim = ma.mu - _quotient_dimension(ma, ma.from_coordinates(tvec))
+    return span_dim == tjurina_number(ma)

@@ -2,7 +2,7 @@
 
 import json
 
-from curveforms import Weights, analyze, parse_polynomial
+from curveforms import Weights, analyze, milnor, parse_polynomial
 from curveforms.poly import field_from_minpoly
 
 
@@ -23,12 +23,41 @@ def test_circle_report_contents():
 def test_acampo_report_contents():
     rep = analyze(parse_polynomial("x^5+y^5-x^2*y^2"))
     assert rep.mu == 16
+    assert rep.tau == 10
+    assert rep.to_dict()["tau"] == 10
+    assert "tau = 10" in rep.to_text().splitlines()
     assert str(rep.min_poly) == "t^3+16/3125*t^2"
     assert rep.exponent == 2
     assert rep.kernel_condition is False
     assert not rep.generation["generates"]
     assert len(rep.minimal) == 3
     assert rep.saito is None  # three minimal generators, no pair to test
+    assert rep.warnings == []
+
+
+def _count_profiles(monkeypatch, text):
+    calls = []
+    original = milnor.jordan_profile
+
+    def counting(op, factor, minimal=None):
+        calls.append(str(factor))
+        return original(op, factor, minimal)
+
+    monkeypatch.setattr(milnor, "jordan_profile", counting)
+    rep = analyze(parse_polynomial(text))
+    return rep, calls
+
+
+def test_profile_at_zero_reused_when_t_is_a_factor(monkeypatch):
+    rep, calls = _count_profiles(monkeypatch, "x^5+y^5-x^2*y^2")
+    assert sorted(calls) == ["t", "t+16/3125"]
+    assert [str(jp.factor) for jp in rep.jordan] == ["t+16/3125", "t"]
+
+
+def test_profile_at_zero_computed_when_t_is_not_a_factor(monkeypatch):
+    # 0 and -1 are both simple roots of the minimal polynomial t^2+t
+    rep, calls = _count_profiles(monkeypatch, "x^3+y^3-3*x*y")
+    assert calls == ["t^2+t", "t"]
     assert rep.warnings == []
 
 

@@ -1,9 +1,14 @@
 """Scalar arithmetic over Q and simple extensions."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import curveforms
 from curveforms import (DivisionByZero, FieldMismatch, NumberField, QQ,
                         parse_scalar, rational)
 
@@ -137,3 +142,35 @@ def test_embed_float_requires_embedding():
     with pytest.raises(MissingEmbedding):
         GAUSS.embed_float(GAUSS.generator)
     assert GAUSS.embed_float(GAUSS.from_int(3)) == 3.0
+
+
+REIMPORT_SCRIPT = """
+import gc, sys
+
+def reimport():
+    for name in [n for n in sys.modules if n.split(".")[0] == "curveforms"]:
+        del sys.modules[name]
+    import curveforms
+
+def live_classes():
+    gc.collect()
+    return sum(1 for o in gc.get_objects()
+               if isinstance(o, type) and o.__module__.startswith("curveforms"))
+
+reimport()
+before = live_classes()
+for _ in range(20):
+    reimport()
+print(before, live_classes())
+"""
+
+
+def test_reimport_releases_old_modules():
+    # a typing.Union of package classes is cached by typing and would pin
+    # every earlier copy of the module; run apart from this process's imports
+    src = os.path.dirname(os.path.dirname(curveforms.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", REIMPORT_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    before, after = map(int, out.stdout.split())
+    assert after <= before

@@ -7,9 +7,11 @@ from curveforms import (FactorNotDividing, Matrix, NotInKernel, NotTame,
                         ZeroInput, critical_value_factors, check_tame,
                         exponent, jordan_profile, kernel_condition,
                         milnor_algebra, min_poly, multiplication_operator,
-                        parse_polynomial, rational, theta_polynomial)
+                        parse_polynomial, rational, theta_polynomial,
+                        tjurina_number)
 from curveforms.milnor import standard_monomials
 from curveforms.groebner import buchberger
+from dense_oracle import dense_jordan_profile
 
 
 def _p(text):
@@ -170,7 +172,28 @@ def test_jordan_profiles_acampo():
 
 def test_jordan_profile_zero_matrix():
     op = Matrix.zeros(QQ, 4, 4)
-    assert jordan_profile(op, UniPoly.t()).blocks == {1: 4}
+    assert dense_jordan_profile(op, UniPoly.t()).blocks == {1: 4}
+
+
+def test_milnor_routines_need_the_algebra():
+    # a bare matrix carries no algebra to read the Milnor data from
+    op = Matrix.zeros(QQ, 4, 4)
+    with pytest.raises(TypeError):
+        min_poly(op)
+    with pytest.raises(TypeError):
+        jordan_profile(op, UniPoly.t(), UniPoly.t())
+
+
+def test_tjurina_number_acampo():
+    # rank(op) = mu - tau: 16 - 10 = 6
+    ma = milnor_algebra(_p(ACAMPO))
+    assert tjurina_number(ma) == 10
+    assert multiplication_operator(ma).rank() == ma.mu - 10
+
+
+def test_tjurina_number_equals_mu_for_weighted_homogeneous():
+    ma = milnor_algebra(_p("x^2+y^3"), Weights(3, 2))
+    assert tjurina_number(ma) == ma.mu == 2
 
 
 def test_shifted_operator_rank():
