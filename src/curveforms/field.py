@@ -1,8 +1,8 @@
 """Exact scalars: rationals and simple algebraic extensions Q[z]/(m(z)).
 
 Coefficients are plain `mpq` values over the rationals and `ExtElement`
-wrappers over an extension; both support the usual arithmetic operators,
-so the rest of the engine never dispatches on the field kind.
+wrappers over an extension; both support the usual arithmetic operators.
+Only the Groebner engine tells them apart: over Q it reduces integer vectors.
 """
 
 from __future__ import annotations
@@ -26,68 +26,6 @@ def rational(value: RatLike = 0, den: int | None = None) -> Rational:
             raise DivisionByZero("zero denominator")
         return Rational(value, den)
     return Rational(value)
-
-
-# ---------------------------------------------------------------------------
-# univariate helpers over Q, used only for minimal-polynomial bookkeeping
-# (coefficient lists ascending, no trailing zeros)
-
-def _trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _deriv(c):
-    return _trim([c[k] * k for k in range(1, len(c))])
-
-
-def _divmod_poly(a, b):
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    a = list(a)
-    q = [Rational(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b) and a:
-        k = len(a) - len(b)
-        coeff = a[-1] * inv_lead
-        q[k] = coeff
-        for i, bc in enumerate(b):
-            a[k + i] -= coeff * bc
-        _trim(a)
-    return _trim(q), a
-
-
-def _gcd_poly(a, b):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _divmod_poly(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _ext_euclid(a, m):
-    """Return (g, u) with u*a + v*m = g, g monic, for a mod m inversion."""
-    r0, r1 = list(m), list(a)
-    u0, u1 = [], [Rational(1)]
-    while r1:
-        q, rem = _divmod_poly(r0, r1)
-        r0, r1 = r1, rem
-        # u_next = u0 - q*u1
-        prod = [Rational(0)] * (len(q) + len(u1) - 1) if q and u1 else []
-        for i, qc in enumerate(q):
-            for j, uc in enumerate(u1):
-                prod[i + j] += qc * uc
-        nxt = [Rational(0)] * max(len(u0), len(prod))
-        for i, c in enumerate(u0):
-            nxt[i] += c
-        for i, c in enumerate(prod):
-            nxt[i] -= c
-        u0, u1 = u1, _trim(nxt)
-    lead = r0[-1]
-    return [c / lead for c in r0], [c / lead for c in u0]
 
 
 class RationalField:
@@ -252,13 +190,14 @@ class NumberField:
     kind = "extension"
 
     def __init__(self, minpoly: Sequence[RatLike], generator_name: str = "z"):
-        coeffs = _trim([Rational(c) for c in minpoly])
+        from .linalg import UniPoly  # linalg imports this module
+        m = UniPoly([Rational(c) for c in minpoly])
+        coeffs = list(m.coeffs)
         if len(coeffs) < 3:
             raise ValueError("minimal polynomial must have degree >= 2")
         if coeffs[-1] != 1:
             raise ValueError("minimal polynomial must be monic")
-        g = _gcd_poly(coeffs, _deriv(coeffs))
-        if len(g) != 1:
+        if m.gcd(m.derivative()).degree() != 0:
             raise ValueError("minimal polynomial must be squarefree")
         self.minpoly = tuple(coeffs)
         self.degree = len(coeffs) - 1
@@ -332,13 +271,18 @@ class NumberField:
     def inv(self, a: ExtElement) -> ExtElement:
         if not a:
             raise DivisionByZero("inverse of zero")
-        acoeffs = _trim(list(a.coeffs))
-        g, u = _ext_euclid(acoeffs, list(self.minpoly))
-        if len(g) != 1:
+        from .linalg import UniPoly  # linalg imports this module
+        # extended Euclid on (m, a), keeping u1 * a == r1 modulo m
+        r0, r1 = UniPoly(self.minpoly), UniPoly(a.coeffs)
+        u0, u1 = UniPoly.zero(), UniPoly.one()
+        while r1.degree() > 0:
+            q, r = r0.divmod(r1)
+            r0, r1, u0, u1 = r1, r, u1, u0 - q * u1
+        if r1.is_zero():
             raise DivisionByZero(
                 "non-invertible element; the minimal polynomial is reducible")
-        u += [Rational(0)] * (self.degree - len(u))
-        return ExtElement(self, u[: self.degree])
+        u = (u1 * (1 / r1.coeffs[0])).coeffs
+        return ExtElement(self, u + (Rational(0),) * (self.degree - len(u)))
 
     def embed_float(self, a: ExtElement, embedding=None) -> float:
         from .errors import MissingEmbedding

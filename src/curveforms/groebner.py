@@ -1,12 +1,25 @@
 """Buchberger Groebner bases for ideals in K[x,y] and submodules of K[x,y]^r.
 
-One engine covers everything.  Vectors are flat dicts mapping (position, i, j)
-to nonzero coefficients.  Cofactor transforms and syzygies both come from a
-single augmented run: each generator g_k is extended with a unit tag e_k and
-the basis is computed under an order that eliminates the original block, so
-output rows with a surviving first block form a basis of the module (their
-tags expressing them in the inputs), while rows with a zero first block are
-exactly the syzygies.
+One engine covers everything.  Cofactor transforms and syzygies both come
+from a single augmented run: each generator g_k is extended with a unit tag
+e_k and the basis is computed under an order that eliminates the original
+block, so output rows with a surviving first block form a basis of the
+module (their tags expressing them in the inputs), while rows with a zero
+first block are exactly the syzygies.
+
+Terms are packed: ModuleOrder.key codes a term (pos, i, j) as one int whose
+integer order is the module order, so a leading term is a plain max() and
+multiplying by a monomial adds a constant to every code.  Over Q every
+vector in the engine is a primitive integer vector with a positive leading
+coefficient and a reduction step is fraction-free, v <- a*v - b*m*g with the
+gcd cofactors (a, b) of the two leading coefficients; over an extension the
+vectors stay monic and the step is v <- v - c*m*g.  One loop serves both.
+Monic vectors in the field's scalars appear only at the public boundary.
+
+_normal_form_core does every reduction.  Every Buchberger and syzygy run and
+GroebnerBasis.normal_form look it up as a module global at call time, and
+the first item of its result is empty exactly when the remainder is zero,
+so wrapping it counts reductions and reductions to zero.
 
 Pair pruning uses the Gebauer-Moeller rules.  The coprime-leading-term
 criterion is only valid for ideals, so it is applied solely in rank 1.
@@ -15,10 +28,11 @@ criterion is only valid for ideals, so it is applied solely in rank 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import RankMismatch
-from .field import check_same_field
+from .field import NumberField, Rational, check_same_field
 from .poly import Polynomial, TermOrder
 
 
@@ -88,7 +102,8 @@ class ModuleVector:
 
 class ModuleOrder:
     """Term-over-position order, ties to the lowest index; the first ``elim``
-    positions, when set, dominate everything else (block elimination)."""
+    positions, when set, dominate everything else (block elimination).
+    ``key`` packs a term (pos, i, j) into an int ordered like the terms."""
 
     __slots__ = ("base", "rank", "elim")
 
@@ -100,8 +115,11 @@ class ModuleOrder:
     def key(self, term):
         pos, i, j = term
         a1, a2 = self.base.weights
-        return (1 if pos < self.elim else 0,
-                i * a1 + j * a2, -j, -pos)
+        deg = i * a1 + j * a2
+        if deg > _MASK or pos > _PMASK:
+            raise ValueError(f"term {term} is outside the packed term range")
+        return ((_ELIM if pos < self.elim else 0) | deg << _S_DEG
+                | (_MASK - j) << _S_J | (_PMASK - pos) << _S_POS | i)
 
     def restricted(self, rank: int) -> "ModuleOrder":
         return ModuleOrder(self.base, rank, 0)
@@ -110,104 +128,190 @@ class ModuleOrder:
         return f"ModuleOrder({self.base!r}, rank={self.rank}, elim={self.elim})"
 
 
+# bit fields of a packed term, low to high: i, -pos, -j, weighted degree,
+# elimination flag; exponents and weighted degrees stay below 2^32
+_MASK, _PMASK = (1 << 32) - 1, (1 << 16) - 1
+_S_POS, _S_J, _S_DEG, _ELIM = 32, 48, 80, 1 << 112
+
+
+def _unpack(t):
+    return (_PMASK - (t >> _S_POS & _PMASK), t & _MASK, _MASK - (t >> _S_J & _MASK))
+
+
 # ---------------------------------------------------------------------------
-# core routines on flat term dicts
+# the engine: vectors are dicts from packed terms to coefficients
 
 
-def _vec_core(mv: ModuleVector, shift: int = 0):
+def _vec_core(mv: ModuleVector, key=None):
+    """Terms of mv keyed by (pos, i, j), or packed with ``key``."""
     out = {}
     for pos, p in enumerate(mv.components):
         for (i, j), c in p.terms.items():
-            out[(pos + shift, i, j)] = c
+            out[(pos, i, j) if key is None else key((pos, i, j))] = c
     return out
 
 
+def _packed(core, key):
+    return {key(t): c for t, c in core.items()}
+
+
 def _core_vec(core, rank, field, start: int = 0) -> ModuleVector:
+    """ModuleVector of positions start .. start+rank-1 of a packed vector."""
     comp_terms = [dict() for _ in range(rank)]
-    for (pos, i, j), c in core.items():
+    for t, c in core.items():
+        pos, i, j = _unpack(t)
         if start <= pos < start + rank:
             comp_terms[pos - start][(i, j)] = c
     return ModuleVector(tuple(Polynomial(field, t) for t in comp_terms))
 
 
-def _monic(core, lt):
-    lc = core[lt]
+def _integral(core, field):
+    """(vector, scale) with core == scale * vector; over Q the vector is a
+    primitive integer vector with a positive leading coefficient."""
+    if isinstance(field, NumberField) or not core:
+        return core, field.one
+    den = lcm(*(int(c.denominator) for c in core.values()))
+    ints = {t: int(c.numerator) * (den // int(c.denominator))
+            for t, c in core.items()}
+    g = gcd(*ints.values()) if ints[max(ints)] > 0 else -gcd(*ints.values())
+    return {t: c // g for t, c in ints.items()}, Rational(g, den)
+
+
+def _times(d, s, field):
+    """d scaled by s; over Q this also turns the engine's ints into Rationals."""
+    if s == 1 and isinstance(field, NumberField):
+        return d
+    return {k: c * s for k, c in d.items()}
+
+
+def _public(core, lt, field):
+    """The monic multiple of an engine vector, in the field's scalars."""
+    if isinstance(field, NumberField):
+        return core  # already monic
+    return {t: Rational(c, core[lt]) for t, c in core.items()}
+
+
+def _normalized(v, lt):
+    """Primitive with a positive leading coefficient over the integers,
+    monic over an extension."""
+    lc = v[lt]
+    if isinstance(lc, int):
+        g = gcd(*v.values()) if lc > 0 else -gcd(*v.values())
+        return v if g == 1 else {t: c // g for t, c in v.items()}
     if lc == 1:
-        return core
+        return v
     inv = 1 / lc
-    return {t: c * inv for t, c in core.items()}
+    return {t: c * inv for t, c in v.items()}
 
 
-def _normal_form_core(vec, basis, lts, keyf, track=False):
-    """Divide vec by the monic basis; returns (remainder, cofactor term dicts).
+def _cross(c, d):
+    """(a, b) with a*c == b*d: the gcd cofactors over the integers, (1, c)
+    against a monic d."""
+    if d == 1:
+        return 1, c
+    g = gcd(c, d)
+    return d // g, c // g
 
-    Deterministic: always cancels the current leading term against the first
-    basis element whose leading term divides it.
+
+def _subtract(v, b, g, lead, shift):
+    """v -= b * m * g in place, leaving out the leading term of g, which the
+    caller cancels; m is the monomial whose code shift is ``shift``."""
+    if b == 1:
+        tail = [(s, c) for s, c in g.items() if s != lead]
+    else:
+        tail = [(s, b * c) for s, c in g.items() if s != lead]
+    for s, c in tail:
+        s += shift
+        x = v.get(s)
+        if x is None:
+            v[s] = -c
+        else:
+            x -= c
+            if x:
+                v[s] = x
+            else:
+                del v[s]
+
+
+def _normal_form_core(vec, basis, lts, key=None, track=False):
+    """Divide vec by the basis (leading codes lts): (remainder, None), or with
+    track (remainder, (mult, cofactors)) where cofactors are monomial dicts,
+    mult a positive integer and
+
+        mult * vec == remainder + sum(cofactors[k][m] * m * basis[k]).
+
+    Each step cancels the leading term of v against the first basis element
+    whose leading term divides it, v <- a*v - b*m*g with (a, b) from _cross.
+    Content is removed after every few steps that scaled v.  With ``key``
+    the vectors are keyed by (pos, i, j), as _vec_core builds them, and lts
+    are such tuples; they are packed with it first.
     """
-    v = dict(vec)
-    rem = {}
-    cof = [dict() for _ in basis] if track else None
-    nb = len(basis)
+    if key is not None:
+        vec, basis = _packed(vec, key), [_packed(g, key) for g in basis]
+        lts = [key(t) for t in lts]
+    heads = [_unpack(t) for t in lts]
+    v, rem, mult, grown = dict(vec), {}, 1, 0
+    cof = [{} for _ in basis] if track else []
     while v:
-        t = max(v, key=keyf)
-        c = v.pop(t)
-        pos, i, j = t
-        for idx in range(nb):
-            gpos, gi, gj = lts[idx]
+        t = max(v)
+        pos, i, j = _unpack(t)
+        for k, (gpos, gi, gj) in enumerate(heads):
             if gpos == pos and gi <= i and gj <= j:
-                mi, mj = i - gi, j - gj
-                g = basis[idx]
-                for (p2, a, b), gc in g.items():
-                    if p2 == gpos and a == gi and b == gj:
-                        continue
-                    key2 = (p2, a + mi, b + mj)
-                    s = v.get(key2)
-                    s = -(c * gc) if s is None else s - c * gc
-                    if s:
-                        v[key2] = s
-                    else:
-                        v.pop(key2, None)
-                if track:
-                    mono = (mi, mj)
-                    prev = cof[idx].get(mono)
-                    cof[idx][mono] = c if prev is None else prev + c
                 break
         else:
-            rem[t] = c
-    return rem, cof
+            rem[t] = v.pop(t)
+            continue
+        a, b = _cross(v.pop(t), basis[k][lts[k]])
+        if a != 1:
+            v, rem, *cof = ({s: c * a for s, c in d.items()} for d in (v, rem, *cof))
+            mult, grown = mult * a, grown + 1
+        _subtract(v, b, basis[k], lts[k], t - lts[k])
+        if track:
+            m = (i - gi, j - gj)
+            cof[k][m] = cof[k].get(m, 0) + b
+        if grown > 3:
+            div = gcd(mult if track else 0,
+                      *(c for d in (v, rem, *cof) for c in d.values()))
+            if div > 1:
+                v, rem, *cof = ({s: c // div for s, c in d.items()}
+                                for d in (v, rem, *cof))
+                mult //= div
+            grown = 0
+    if key is not None:
+        rem = {_unpack(t): c for t, c in rem.items()}
+    return rem, ((mult, cof) if track else None)
 
 
-def _spair_core(g1, lt1, g2, lt2):
-    """S-vector of two monic vectors with leading terms in the same position."""
-    pos, i1, j1 = lt1
-    _, i2, j2 = lt2
-    li, lj = max(i1, i2), max(j1, j2)
-    out = {}
-    m1 = (li - i1, lj - j1)
-    for (p, a, b), c in g1.items():
-        out[(p, a + m1[0], b + m1[1])] = c
-    m2 = (li - i2, lj - j2)
-    for (p, a, b), c in g2.items():
-        t = (p, a + m2[0], b + m2[1])
-        s = out.get(t)
-        s = -c if s is None else s - c
-        if s:
-            out[t] = s
-        else:
-            out.pop(t, None)
-    return out
+def _spair_core(g1, lt1, g2, lt2, key=None):
+    """S-vector a*m1*g1 - b*m2*g2, (a, b) from _cross, of two vectors whose
+    leading terms lt1, lt2 (tuples) lie in one position.  The vectors are
+    packed with ``key``; without it they are keyed by (pos, i, j), as
+    _vec_core builds them, and any packing serves: an S-vector does not
+    depend on the order."""
+    tuples = key is None
+    if tuples:
+        key = ModuleOrder(TermOrder()).key
+        g1, g2 = _packed(g1, key), _packed(g2, key)
+    t1, t2 = key(lt1), key(lt2)
+    lcm_code = key((lt1[0], max(lt1[1], lt2[1]), max(lt1[2], lt2[2])))
+    a, b = _cross(g1[t1], g2[t2])
+    out = {s + lcm_code - t1: c if a == 1 else a * c
+           for s, c in g1.items() if s != t1}
+    _subtract(out, b, g2, t2, lcm_code - t2)
+    return {_unpack(t): c for t, c in out.items()} if tuples else out
 
 
 def _run_buchberger(seeds, order: ModuleOrder):
-    """Reduced Groebner basis of the module generated by the seed dicts.
+    """Reduced Groebner basis of the module generated by the seed vectors
+    (packed engine vectors, see _integral).
 
-    Returns a list of (core dict, leading term), monic, sorted by leading
+    Returns a list of (vector, leading code), normalized, sorted by leading
     term ascending.  Normal selection strategy; deterministic throughout.
     """
     keyf = order.key
     rank1 = order.rank == 1
 
-    G, lts = [], []
+    G, codes, lts = [], [], []
 
     def lcm_term(t1, t2):
         return (t1[0], max(t1[1], t2[1]), max(t1[2], t2[2]))
@@ -215,14 +319,15 @@ def _run_buchberger(seeds, order: ModuleOrder):
     def divides(t1, t2):
         return t1[0] == t2[0] and t1[1] <= t2[1] and t1[2] <= t2[2]
 
-    pairs = {}
+    pairs = {}  # (i, j) -> (lcm code, lcm term)
 
-    def update(new_core, new_lt):
+    def update(new_core, new_code):
         """Gebauer-Moeller pair update for the arrival of a new element."""
         k = len(G)
+        new_lt = _unpack(new_code)
         # drop old pairs strictly dominated by the newcomer
         for (i, j) in list(pairs):
-            lij = pairs[(i, j)]
+            lij = pairs[(i, j)][1]
             if (divides(new_lt, lij)
                     and lcm_term(lts[i], new_lt) != lij
                     and lcm_term(lts[j], new_lt) != lij):
@@ -242,42 +347,39 @@ def _run_buchberger(seeds, order: ModuleOrder):
                     lts[i][1] + new_lt[1] == L[1] and lts[i][2] + new_lt[2] == L[2]
                     for i in members):
                 continue  # coprime leading monomials; ideal case only
-            pairs[(min(members), k)] = L
+            pairs[(min(members), k)] = (keyf(L), L)
         G.append(new_core)
+        codes.append(new_code)
         lts.append(new_lt)
 
-    for core in sorted(seeds, key=lambda d: keyf(max(d, key=keyf))):
-        rem, _ = _normal_form_core(core, G, lts, keyf)
+    def insert(v):
+        rem, _ = _normal_form_core(v, G, codes)
         if rem:
-            lt = max(rem, key=keyf)
-            update(_monic(rem, lt), lt)
+            t = max(rem)
+            update(_normalized(rem, t), t)
 
+    for core in sorted(seeds, key=max):
+        insert(core)
     while pairs:
-        (i, j) = min(pairs, key=lambda p: (keyf(pairs[p]), p))
+        (i, j) = min(pairs, key=lambda p: (pairs[p][0], p))
         del pairs[(i, j)]
-        s = _spair_core(G[i], lts[i], G[j], lts[j])
-        rem, _ = _normal_form_core(s, G, lts, keyf)
-        if rem:
-            lt = max(rem, key=keyf)
-            update(_monic(rem, lt), lt)
+        insert(_spair_core(G[i], lts[i], G[j], lts[j], keyf))
 
     # minimalize: drop elements whose leading term another one divides
-    order_idx = sorted(range(len(G)), key=lambda k: keyf(lts[k]))
     kept = []
-    for k in order_idx:
+    for k in sorted(range(len(G)), key=codes.__getitem__):
         if not any(divides(lts[m], lts[k]) for m in kept):
             kept.append(k)
     basis = [G[k] for k in kept]
-    blts = [lts[k] for k in kept]
+    bcodes = [codes[k] for k in kept]
 
     # tail-reduce each element against all the others
     for k in range(len(basis)):
-        others = basis[:k] + basis[k + 1:]
-        olts = blts[:k] + blts[k + 1:]
-        rem, _ = _normal_form_core(basis[k], others, olts, keyf)
-        basis[k] = _monic(rem, blts[k])
+        rem, _ = _normal_form_core(basis[k], basis[:k] + basis[k + 1:],
+                                   bcodes[:k] + bcodes[k + 1:])
+        basis[k] = _normalized(rem, bcodes[k])
 
-    return list(zip(basis, blts))
+    return list(zip(basis, bcodes))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +397,10 @@ class Membership:
 
 
 class GroebnerBasis:
-    """Reduced basis plus (optionally) the transform back to the inputs."""
+    """Reduced basis plus (optionally) the transform back to the inputs.
+
+    ``cores`` holds the engine's form of each generator: (vector, leading
+    code, lam) with vector == lam * generator."""
 
     def __init__(self, generators, order, field, rank, transform=None, cores=None):
         self.generators = list(generators)
@@ -304,33 +409,40 @@ class GroebnerBasis:
         self.rank = rank
         self.transform = transform
         if cores is None:
-            keyf = order.key
             cores = []
             for g in self.generators:
-                core = _vec_core(g)
-                cores.append((core, max(core, key=keyf)))
+                core, scale = _integral(_vec_core(g, order.key), field)
+                t = max(core)
+                if isinstance(field, NumberField):  # made monic
+                    lam = 1 / core[t]
+                    core = _times(core, lam, field)
+                else:
+                    lam = 1 / scale
+                cores.append((core, t, lam))
         self._cores = cores
 
     def __len__(self):
         return len(self.generators)
 
     def leading_terms(self):
-        return [lt for _, lt in self._cores]
+        return [_unpack(t) for _, t, _ in self._cores]
 
     def normal_form(self, v, track_cofactors: bool = False):
         """Remainder of v; with tracking also the cofactors against the basis."""
         v = ModuleVector.wrap(v)
         if v.rank != self.rank:
             raise RankMismatch(f"rank {v.rank} against a rank-{self.rank} basis")
-        basis = [c for c, _ in self._cores]
-        lts = [lt for _, lt in self._cores]
-        rem, cof = _normal_form_core(_vec_core(v), basis, lts,
-                                     self.order.key, track=track_cofactors)
-        remainder = _core_vec(rem, self.rank, self.field)
+        core, scale = _integral(_vec_core(v, self.order.key), self.field)
+        rem, (mult, cof) = _normal_form_core(
+            core, [c for c, _, _ in self._cores], [t for _, t, _ in self._cores],
+            None, True)
+        s = scale if mult == 1 else scale / mult
+        remainder = _core_vec(_times(rem, s, self.field), self.rank, self.field)
         if not track_cofactors:
             return remainder
-        cof_polys = [Polynomial(self.field, d) for d in cof]
-        return remainder, cof_polys
+        return remainder, [
+            Polynomial(self.field, _times(d, lam if s == 1 else lam * s, self.field))
+            for d, (_, _, lam) in zip(cof, self._cores)]
 
     def reduces_to_zero(self, v) -> bool:
         return self.normal_form(v).is_zero()
@@ -375,46 +487,46 @@ def buchberger(gens, order=None, track_cofactors: bool = False) -> GroebnerBasis
     """
     vecs, rank, field, order = _prepare(gens, order)
     if not track_cofactors:
-        seeds = [_vec_core(v) for v in vecs if not v.is_zero()]
+        seeds = [_integral(_vec_core(v, order.key), field)[0]
+                 for v in vecs if not v.is_zero()]
         if not seeds:
             raise ValueError("all generators are zero")
-        result = _run_buchberger(seeds, order)
-        gens_out = [_core_vec(core, rank, field) for core, _ in result]
-        return GroebnerBasis(gens_out, order, field, rank, cores=result)
-
-    basis_rows, _ = _augmented_run(vecs, rank, field, order)
-    gens_out, transform, cores = [], [], []
-    for core, lt, tags in basis_rows:
-        gens_out.append(_core_vec(core, rank, field))
-        transform.append(tags)
-        cores.append((core, lt))
-    return GroebnerBasis(gens_out, order.restricted(rank), field, rank,
-                         transform=transform, cores=cores)
+        rows = [(core, t, None) for core, t in _run_buchberger(seeds, order)]
+    else:
+        rows, _ = _augmented_run(vecs, rank, field, order)
+        order = order.restricted(rank)
+    gens_out = [_core_vec(_public(core, t, field), rank, field) for core, t, _ in rows]
+    cores = [(core, t, field.one * core[t]) for core, t, _ in rows]
+    transform = [tags for _, _, tags in rows] if track_cofactors else None
+    return GroebnerBasis(gens_out, order, field, rank, transform, cores)
 
 
 def _augmented_run(vecs, rank, field, order):
     """Shared augmented computation.
 
-    Returns (basis_rows, syzygy_rows): basis_rows are (core, lt, tag polys)
-    for elements with a nonzero original block; syzygy_rows are rank-s
-    ModuleVectors spanning all relations among the inputs.
+    Returns (basis_rows, syzygy_rows): basis_rows are (vector, leading code,
+    tag polys) for elements with a nonzero original block, packed for the
+    restricted order; syzygy_rows are rank-s ModuleVectors spanning all
+    relations among the inputs.
     """
     s = len(vecs)
     aug_order = ModuleOrder(order.base, rank + s, elim=rank)
     seeds = []
     for k, v in enumerate(vecs):
-        core = _vec_core(v)
-        core[(rank + k, 0, 0)] = field.one
-        seeds.append(core)
-    result = _run_buchberger(seeds, aug_order)
+        core = _vec_core(v, aug_order.key)
+        core[aug_order.key((rank + k, 0, 0))] = field.one
+        seeds.append(_integral(core, field)[0])
     basis_rows, syzygy_rows = [], []
-    for core, lt in result:
-        first = {t: c for t, c in core.items() if t[0] < rank}
-        if first:
-            tags = _core_vec(core, s, field, start=rank)
-            basis_rows.append((first, lt, list(tags.components)))
+    for core, lt in _run_buchberger(seeds, aug_order):
+        public = _public(core, lt, field)
+        if lt & _ELIM:
+            # the first block; dropping the flag packs it for order.restricted
+            first = {t - _ELIM: c for t, c in core.items() if t & _ELIM}
+            tags = _core_vec(public, s, field, start=rank)
+            basis_rows.append((_normalized(first, lt - _ELIM), lt - _ELIM,
+                               list(tags.components)))
         else:
-            syzygy_rows.append(_core_vec(core, s, field, start=rank))
+            syzygy_rows.append(_core_vec(public, s, field, start=rank))
     return basis_rows, syzygy_rows
 
 

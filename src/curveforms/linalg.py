@@ -297,12 +297,6 @@ class UniPoly:
         return UniPoly([self.coeffs[k] * k for k in range(1, len(self.coeffs))],
                        self.field)
 
-    def eval_scalar(self, value):
-        total = self.field.zero
-        for c in reversed(self.coeffs):
-            total = total * value + c
-        return total
-
     def eval_matrix(self, m: Matrix) -> Matrix:
         """Horner evaluation at a square matrix."""
         if not m.is_square():

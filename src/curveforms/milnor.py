@@ -104,6 +104,7 @@ class MilnorAlgebra:
     top_degree: int = 0         # 2d - 2*alpha1 - 2*alpha2
     unique_top: Optional[bool] = None
     _index: dict = dc_field(default_factory=dict, repr=False)
+    _tau: Optional[int] = dc_field(default=None, repr=False, compare=False)
 
     @property
     def field(self):
@@ -207,8 +208,11 @@ def _quotient_dimension(ma: MilnorAlgebra, g) -> int:
 
 
 def tjurina_number(ma: MilnorAlgebra) -> int:
-    """tau = dim K[x,y]/<f_x, f_y, f>; multiplication by f has rank mu - tau."""
-    return _quotient_dimension(ma, ma.gb.normal_form(ma.f))
+    """tau = dim K[x,y]/<f_x, f_y, f>; multiplication by f has rank mu - tau.
+    Computed once per algebra."""
+    if ma._tau is None:
+        ma._tau = _quotient_dimension(ma, ma.gb.normal_form(ma.f))
+    return ma._tau
 
 
 def _krylov(op: Matrix, vec):
@@ -257,9 +261,6 @@ class JordanProfile:
 
     def total_dimension(self) -> int:
         return sum(size * count for size, count in self.blocks.items())
-
-    def block_count(self) -> int:
-        return sum(self.blocks.values())
 
     def max_size(self) -> int:
         return max(self.blocks, default=0)

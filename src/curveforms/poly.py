@@ -8,6 +8,7 @@ with x > y; it is degree-compatible for any positive weights.
 
 from __future__ import annotations
 
+from math import comb
 from typing import NamedTuple
 
 from .errors import PolySyntaxError, UnknownSymbol, ZeroInput
@@ -16,8 +17,11 @@ from .field import (QQ, ExtElement, Field, NumberField, Rational,
 
 NEG_INFINITY = float("-inf")
 
-# parser guard; exponents beyond this are certainly a mistake
+# parser guards: larger exponents are certainly a mistake, and a power may
+# expand to no more terms than this bound (the smaller of comb(n+k-1, n) for
+# a k-term base and the exponent grid it spans)
 MAX_EXPONENT = 1 << 20
+MAX_POWER_TERMS = 1 << 8
 
 
 class Weights(NamedTuple):
@@ -54,23 +58,6 @@ class TermOrder:
 
 
 GREVLEX = TermOrder()
-
-
-def monomial_mul(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def monomial_divides(a, b):
-    """True when a divides b."""
-    return a[0] <= b[0] and a[1] <= b[1]
-
-
-def monomial_div(b, a):
-    return (b[0] - a[0], b[1] - a[1])
-
-
-def monomial_lcm(a, b):
-    return (max(a[0], b[0]), max(a[1], b[1]))
 
 
 class Polynomial:
@@ -259,12 +246,6 @@ class Polynomial:
         a1, a2 = weights
         degrees = {i * a1 + j * a2 for i, j in self.terms}
         return len(degrees) == 1
-
-    def leading_term(self, order: TermOrder = GREVLEX):
-        if not self.terms:
-            raise ZeroInput("the zero polynomial has no leading term")
-        m = max(self.terms, key=order.key)
-        return m, self.terms[m]
 
     # -- calculus -----------------------------------------------------------
 
@@ -458,12 +439,15 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, field: Field, nvars: int, var_names):
+    """Recursive descent into a Polynomial; the names in ``var_names`` stand
+    for x and y in turn, so a univariate text parses into powers of x."""
+
+    def __init__(self, text: str, field: Field, var_names):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.field = field
-        self.nvars = nvars
-        self.vars = {name: idx for idx, name in enumerate(var_names)}
+        self.vars = {name: Polynomial.variable(xy, field)
+                     for name, xy in zip(var_names, "xy")}
 
     def peek(self):
         return self.tokens[self.pos]
@@ -479,64 +463,24 @@ class _Parser:
             raise PolySyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
-    # terms are dicts: exponent tuple -> scalar
-    def _const(self, value):
-        return {(0,) * self.nvars: value} if not self.field.is_zero(value) else {}
-
-    def _add(self, a, b):
-        out = dict(a)
-        for m, c in b.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if self.field.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return out
-
-    def _mul(self, a, b):
-        out = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                s = out.get(m)
-                prod = c1 * c2
-                s = prod if s is None else s + prod
-                if self.field.is_zero(s):
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return out
-
-    def _pow(self, a, n):
-        result = self._const(self.field.one)
-        while n:
-            if n & 1:
-                result = self._mul(result, a)
-            a = self._mul(a, a)
-            n >>= 1
-        return result
-
     def parse_expr(self):
         sign = 1
         if self.peek()[0] in "+-":
             sign = -1 if self.advance()[0] == "-" else 1
         total = self.parse_term()
         if sign < 0:
-            total = {m: -c for m, c in total.items()}
+            total = -total
         while self.peek()[0] in "+-":
             op = self.advance()[0]
             term = self.parse_term()
-            if op == "-":
-                term = {m: -c for m, c in term.items()}
-            total = self._add(total, term)
+            total = total - term if op == "-" else total + term
         return total
 
     def parse_term(self):
         total = self.parse_factor()
         while self.peek()[0] == "*":
             self.advance()
-            total = self._mul(total, self.parse_factor())
+            total = total * self.parse_factor()
         return total
 
     def parse_factor(self):
@@ -547,7 +491,12 @@ class _Parser:
             n = int(tok[1])
             if n > MAX_EXPONENT:
                 raise PolySyntaxError(f"exponent {n} too large", tok[2])
-            base = self._pow(base, n)
+            k, terms = len(base.terms), base.terms
+            if k > 1 and min(comb(n + k - 1, n),
+                             (n * max(i for i, _ in terms) + 1)
+                             * (n * max(j for _, j in terms) + 1)) > MAX_POWER_TERMS:
+                raise PolySyntaxError(f"power ^{n} expands too far", tok[2])
+            base = base ** n
         return base
 
     def parse_base(self):
@@ -559,16 +508,14 @@ class _Parser:
                 den = int(self.expect("int")[1])
                 if den == 0:
                     raise PolySyntaxError("zero denominator", pos)
-                return self._const(self.field.from_rational(Rational(num, den)))
-            return self._const(self.field.from_int(num))
+                return Polynomial.constant(Rational(num, den), self.field)
+            return Polynomial.constant(num, self.field)
         if kind == "sym":
             if value in self.vars:
-                mono = tuple(1 if k == self.vars[value] else 0
-                             for k in range(self.nvars))
-                return {mono: self.field.one}
+                return self.vars[value]
             if (isinstance(self.field, NumberField)
                     and value == self.field.generator_name):
-                return self._const(self.field.generator)
+                return Polynomial.constant(self.field.generator, self.field)
             raise UnknownSymbol(f"unknown symbol {value!r}", pos)
         if kind == "(":
             inner = self.parse_expr()
@@ -586,23 +533,19 @@ class _Parser:
 
 def parse_polynomial(text: str, field: Field = QQ) -> Polynomial:
     """Parse the grammar above into an exact polynomial in x and y."""
-    terms = _Parser(text, field, 2, ("x", "y")).run()
-    return Polynomial(field, terms)
+    return _Parser(text, field, ("x", "y")).run()
 
 
 def parse_scalar(text: str, field: Field = QQ):
     """Parse a constant expression (no x, y) into a field element."""
-    terms = _Parser(text, field, 0, ()).run()
-    return terms.get((), field.zero)
+    return _Parser(text, field, ()).run().terms.get((0, 0), field.zero)
 
 
 def parse_univariate(text: str, var: str = "z"):
     """Parse a univariate polynomial over Q; returns ascending coefficients."""
-    terms = _Parser(text, QQ, 1, (var,)).run()
-    if not terms:
-        return ()
-    deg = max(m[0] for m in terms)
-    return tuple(terms.get((k,), Rational(0)) for k in range(deg + 1))
+    terms = _Parser(text, QQ, (var,)).run().terms
+    deg = max((i for i, _ in terms), default=-1)
+    return tuple(terms.get((k, 0), Rational(0)) for k in range(deg + 1))
 
 
 def field_from_minpoly(text: str, generator_name: str = "z") -> NumberField:

@@ -17,10 +17,11 @@ from typing import Optional, Sequence
 from .errors import (InvariantViolation, NotHomogeneous, NotInJacobian,
                      NotSmooth, NotTangent, ZeroInput)
 from .field import Rational
-from .groebner import ModuleVector, buchberger, membership, syzygies
+from .groebner import (GroebnerBasis, ModuleOrder, ModuleVector, buchberger,
+                       membership, syzygies)
 from .milnor import MilnorAlgebra
-from .poly import (OneForm, Polynomial, Weights, exterior_derivative,
-                   format_one_form, wedge)
+from .poly import (OneForm, Polynomial, TermOrder, Weights,
+                   exterior_derivative, format_one_form, wedge)
 
 
 def form_vector(w: OneForm) -> ModuleVector:
@@ -33,11 +34,18 @@ def vector_form(v: ModuleVector) -> OneForm:
     return OneForm(v.components[0], v.components[1])
 
 
+def divide(p: Polynomial, f: Polynomial):
+    """(remainder, quotient) with p = quotient*f + remainder, the remainder
+    reduced modulo <f>.  [f] is already a Groebner basis of <f>, so this is
+    one division, not a Buchberger run."""
+    gb = GroebnerBasis([ModuleVector((f,))], ModuleOrder(TermOrder()), f.field, 1)
+    rem, (quotient,) = gb.normal_form(p, track_cofactors=True)
+    return rem.components[0], quotient
+
+
 def tangency_defect(f: Polynomial, w: OneForm) -> Polynomial:
     """Normal form of f_x*Q - f_y*P modulo <f>; zero iff w is tangent."""
-    gb = buchberger([f])
-    expr = f.diff("x") * w.Q - f.diff("y") * w.P
-    return gb.normal_form(expr).components[0]
+    return divide(f.diff("x") * w.Q - f.diff("y") * w.P, f)[0]
 
 
 def is_tangent(f: Polynomial, w: OneForm) -> bool:
@@ -187,12 +195,8 @@ def saito_check(pair: Sequence[OneForm], f: Polynomial) -> SaitoResult:
     coeff = wedge(w0, winf).coeff
     if coeff.is_zero():
         return SaitoResult(False, None, None)
-    gb = buchberger([f], track_cofactors=True)
-    rem, cof = gb.normal_form(coeff, track_cofactors=True)
-    if not rem.is_zero():
-        return SaitoResult(False, None, None)
-    quotient = gb.cofactors_on_inputs(cof)[0]
-    if not quotient.is_constant():
+    rem, quotient = divide(coeff, f)
+    if not rem.is_zero() or not quotient.is_constant():
         return SaitoResult(False, None, None)
     return SaitoResult(True, quotient.constant_value(), (w0, winf))
 

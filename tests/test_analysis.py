@@ -114,3 +114,20 @@ def test_text_rendering_mentions_key_facts():
     assert "mu = 1" in text
     assert "minimal polynomial: t+1" in text
     assert "time" in text
+
+
+def test_analyze_computes_tau_once(monkeypatch):
+    f = parse_polynomial("x^5+y^5-x^2*y^2")
+    ma = milnor.milnor_algebra(f)
+    tau_ideal = list(ma.gb.generators) + [ma.gb.normal_form(f)]
+    calls = []
+    original = milnor.buchberger
+
+    def counting(gens, *args, **kwargs):
+        calls.append(list(gens))
+        return original(gens, *args, **kwargs)
+    monkeypatch.setattr(milnor, "buchberger", counting)
+    rep = analyze(f)
+    assert rep.tau == 10 and rep.kernel_condition is not None
+    # one run for <f_x, f_y, f>, shared by the report and kernel_condition
+    assert sum(gens == tau_ideal for gens in calls) == 1

@@ -31,6 +31,10 @@ def test_analyze_parse_error_exit_code(capsys):
     assert main(["analyze", "-f", "x +"]) == 1
 
 
+def test_analyze_oversized_power_exit_code(capsys):
+    assert main(["analyze", "-f", "(x+y+1)^1000000"]) == 1
+
+
 def test_analyze_bad_weights_exit_code(capsys):
     assert main(["analyze", "-f", "x*y-1", "--weights", "0", "1"]) == 1
 

@@ -8,7 +8,7 @@ from curveforms import (FieldMismatch, Matrix, ModuleOrder, ModuleVector,
                         NumberField, Polynomial, QQ, RankMismatch, TermOrder,
                         buchberger, membership, parse_polynomial, recombine,
                         syzygies)
-from curveforms.groebner import _normal_form_core, _spair_core, _vec_core
+from curveforms.groebner import _normal_form_core, _spair_core, _unpack, _vec_core
 from curveforms.milnor import standard_monomials
 
 
@@ -291,3 +291,22 @@ def test_module_vectors_and_orders():
             ModuleVector((_p("0"), _p("y")))]
     gb = buchberger(gens, order)
     assert len(gb) == 2
+
+
+def test_packed_terms_follow_the_module_order():
+    rng = random.Random(108)
+    for a1, a2 in [(1, 1), (2, 3), (5, 1)]:
+        order = ModuleOrder(TermOrder((a1, a2)), rank=3, elim=1)
+        terms = {(rng.randint(0, 2), rng.randint(0, 9), rng.randint(0, 9))
+                 for _ in range(200)}
+
+        def tuple_key(t):
+            pos, i, j = t
+            return (pos < 1, i * a1 + j * a2, -j, -pos)
+        assert sorted(terms, key=order.key) == sorted(terms, key=tuple_key)
+        step = order.key((0, 2, 1)) - order.key((0, 0, 0))
+        for pos, i, j in terms:
+            assert _unpack(order.key((pos, i, j))) == (pos, i, j)
+            assert order.key((pos, i + 2, j + 1)) == order.key((pos, i, j)) + step
+    with pytest.raises(ValueError):
+        ModuleOrder(TermOrder()).key((0, 1 << 32, 0))

@@ -1,5 +1,6 @@
 """Polynomials, forms, the wedge calculus, parsing and printing."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,19 @@ def test_parse_error_positions():
 def test_parse_huge_exponent_rejected():
     with pytest.raises(PolySyntaxError):
         parse_polynomial("x^99999999")
+
+
+def test_parse_rejects_power_that_expands_too_far():
+    # (x+y+1)^1000000 would have about 5*10^11 terms
+    start = time.perf_counter()
+    with pytest.raises(PolySyntaxError):
+        parse_polynomial("(x+y+1)^1000000")
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(PolySyntaxError):
+        parse_polynomial("(x+y+1)^22")   # 276 terms, over MAX_POWER_TERMS
+    assert len(parse_polynomial("(x+y+1)^21").terms) == 253
+    assert parse_polynomial("x^1000000") == Polynomial.term(QQ.one, (10**6, 0))
+    assert parse_polynomial("(2*y)^3") == parse_polynomial("8*y^3")
 
 
 @pytest.mark.parametrize("text", [
