@@ -1,11 +1,12 @@
 """Exact engine for polynomial 1-forms tangent to plane algebraic curves."""
 
 from .errors import (CurveFormsError, DegenerateWindow, DivisionByZero,
-                     FactorNotDividing, FieldMismatch, InvariantViolation,
-                     MissingEmbedding, NotFiniteDimensional, NotHomogeneous,
-                     NotInJacobian, NotInKernel, NotSmooth, NotSquare,
-                     NotTame, NotTangent, PolySyntaxError, RankMismatch,
-                     SmoothCurve, UnknownSymbol, ZeroInput)
+                     FactorNotDividing, FieldMismatch, InvalidInput,
+                     InvariantViolation, MissingEmbedding,
+                     NotFiniteDimensional, NotHomogeneous, NotInJacobian,
+                     NotInKernel, NotSmooth, NotSquare, NotTame, NotTangent,
+                     PolySyntaxError, RankMismatch, SmoothCurve, UnknownFixture,
+                     UnknownSymbol, ZeroInput)
 from .field import QQ, NumberField, Rational, rational
 from .groebner import (GroebnerBasis, Membership, ModuleOrder, ModuleVector,
                        buchberger, membership, recombine, syzygies)

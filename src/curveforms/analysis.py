@@ -14,9 +14,10 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from . import milnor, tangent
-from .field import Field, NumberField
-from .linalg import UniPoly, format_univariate
-from .poly import OneForm, Polynomial, TermOrder, Weights, format_polynomial
+from .field import Field, NumberField, format_univariate
+from .linalg import UniPoly
+from .poly import (OneForm, Polynomial, TermOrder, Weights, format_one_form,
+                   format_polynomial)
 
 
 def _form_dict(w: OneForm):
@@ -145,8 +146,7 @@ class AnalysisReport:
                      f"four {'-' if self.four is None else len(self.four)}, "
                      f"syzygy {self.syzygy_count}, minimal {len(self.minimal)}")
         for w in self.minimal:
-            lines.append(f"  minimal: [{format_polynomial(w.P)}] dx + "
-                         f"[{format_polynomial(w.Q)}] dy")
+            lines.append(f"  minimal: {format_one_form(w)}")
         if self.generation is not None:
             lines.append(f"generation: {self.generation}")
         if self.saito is not None:

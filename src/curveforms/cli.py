@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Commands: analyze, generators, jordan, plot, corpus.  Exit codes: 0 on
-success, 1 on bad input, 2 when the polynomial is not tame, 3 on an
-internal invariant violation.
+success, 1 on bad input (a `CurveFormsError`), 2 when the polynomial is not
+tame, 3 on an internal invariant violation or any other unexpected error.
 """
 
 from __future__ import annotations
@@ -10,11 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import analysis, corpus, plotting
 from .errors import CurveFormsError, InvariantViolation
 from .field import QQ
-from .poly import Weights, field_from_minpoly, parse_polynomial
+from .poly import (Weights, field_from_minpoly, format_one_form,
+                   parse_polynomial)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -71,7 +73,7 @@ def cmd_generators(args) -> int:
             continue
         lines.append(f"{kind} ({len(forms)}):")
         for w in forms:
-            lines.append(f"  [{w.P}] dx + [{w.Q}] dy")
+            lines.append(f"  {format_one_form(w)}")
     _emit(args, report, "\n".join(lines))
     return EXIT_OK
 
@@ -190,9 +192,9 @@ def main(argv=None) -> int:
     except CurveFormsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except Exception:  # not a documented input error, so a bug
+        traceback.print_exc()
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass
 
 from . import analysis, milnor, tangent
+from .errors import UnknownFixture
 from .field import QQ, Rational
 from .groebner import membership, recombine
 from .linalg import Matrix, UniPoly
@@ -439,6 +440,6 @@ def run_corpus(only=None):
     names = list(FIXTURES) if not only else list(only)
     for name in names:
         if name not in FIXTURES:
-            raise KeyError(f"unknown fixture {name!r}; "
+            raise UnknownFixture(f"unknown fixture {name!r}; "
                            f"known: {', '.join(FIXTURES)}")
     return [run_fixture(name) for name in names]

@@ -5,6 +5,14 @@ class CurveFormsError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidInput(CurveFormsError, ValueError):
+    """Weights, a minimal polynomial or a term outside its valid range."""
+
+
+class UnknownFixture(CurveFormsError, KeyError):
+    """No corpus fixture has the requested name."""
+
+
 class DivisionByZero(CurveFormsError, ZeroDivisionError):
     """Division by zero, or by a non-invertible element of an extension field."""
 

@@ -14,7 +14,7 @@ try:
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     from fractions import Fraction as Rational
 
-from .errors import DivisionByZero, FieldMismatch
+from .errors import DivisionByZero, FieldMismatch, InvalidInput
 
 RatLike = Union[int, str, "Rational"]
 
@@ -75,7 +75,7 @@ class RationalField:
         return float(a)
 
     def format_scalar(self, a) -> str:
-        return format_rational(a)
+        return str(a) if a.denominator != 1 else str(a.numerator)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -90,8 +90,34 @@ class RationalField:
 QQ = RationalField()
 
 
-def format_rational(r) -> str:
-    return str(r) if r.denominator != 1 else str(r.numerator)
+def format_terms(terms, format_coeff) -> str:
+    """Canonical text of a sum; the one printing rule of the package.
+
+    ``terms`` holds (monomial text, nonzero coefficient) pairs in print
+    order, "" standing for the monomial 1.  A coefficient whose text has an
+    inner sign is parenthesised and added; any other carries its own sign,
+    and a unit coefficient is left out.  The empty sum prints as "0".
+    """
+    out = []
+    for mono, c in terms:
+        cs = format_coeff(c)
+        sign = "+" if out else ""
+        if "+" in cs[1:] or "-" in cs[1:]:
+            cs = f"({cs})"
+        elif cs[0] == "-":
+            sign, cs = "-", cs[1:]
+        if mono:
+            cs = mono if cs == "1" else f"{cs}*{mono}"
+        out.append(sign + cs)
+    return "".join(out) or "0"
+
+
+def format_univariate(coeffs, var: str = "t", field: Field = QQ) -> str:
+    """Ascending coefficients printed as a polynomial in ``var``."""
+    return format_terms(
+        [(var if k == 1 else f"{var}^{k}" if k else "", c)
+         for k, c in reversed(list(enumerate(coeffs))) if c],
+        field.format_scalar)
 
 
 class ExtElement:
@@ -194,11 +220,11 @@ class NumberField:
         m = UniPoly([Rational(c) for c in minpoly])
         coeffs = list(m.coeffs)
         if len(coeffs) < 3:
-            raise ValueError("minimal polynomial must have degree >= 2")
+            raise InvalidInput("minimal polynomial must have degree >= 2")
         if coeffs[-1] != 1:
-            raise ValueError("minimal polynomial must be monic")
+            raise InvalidInput("minimal polynomial must be monic")
         if m.gcd(m.derivative()).degree() != 0:
-            raise ValueError("minimal polynomial must be squarefree")
+            raise InvalidInput("minimal polynomial must be squarefree")
         self.minpoly = tuple(coeffs)
         self.degree = len(coeffs) - 1
         self.generator_name = generator_name
@@ -297,26 +323,7 @@ class NumberField:
         return total
 
     def format_scalar(self, a: ExtElement) -> str:
-        parts = []
-        for k in range(self.degree - 1, -1, -1):
-            c = a.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                mono = format_rational(c)
-            else:
-                var = self.generator_name if k == 1 else f"{self.generator_name}^{k}"
-                if c == 1:
-                    mono = var
-                elif c == -1:
-                    mono = f"-{var}"
-                else:
-                    mono = f"{format_rational(c)}*{var}"
-            if parts and not mono.startswith("-"):
-                parts.append("+" + mono)
-            else:
-                parts.append(mono)
-        return "".join(parts) if parts else "0"
+        return format_univariate(a.coeffs, self.generator_name)
 
     def __eq__(self, other):
         return (isinstance(other, NumberField)
@@ -327,7 +334,6 @@ class NumberField:
         return hash((self.minpoly, self.generator_name))
 
     def __repr__(self):
-        from .linalg import format_univariate
         return f"QQ[{self.generator_name}]/({format_univariate(self.minpoly, self.generator_name)})"
 
 

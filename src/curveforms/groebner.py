@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import RankMismatch
+from .errors import InvalidInput, RankMismatch
 from .field import NumberField, Rational, check_same_field
 from .poly import Polynomial, TermOrder
 
@@ -117,7 +117,7 @@ class ModuleOrder:
         a1, a2 = self.base.weights
         deg = i * a1 + j * a2
         if deg > _MASK or pos > _PMASK:
-            raise ValueError(f"term {term} is outside the packed term range")
+            raise InvalidInput(f"term {term} is outside the packed term range")
         return ((_ELIM if pos < self.elim else 0) | deg << _S_DEG
                 | (_MASK - j) << _S_J | (_PMASK - pos) << _S_POS | i)
 

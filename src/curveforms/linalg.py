@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import DivisionByZero, NotSquare, ZeroInput
-from .field import QQ, Field, check_same_field
+from .field import QQ, Field, check_same_field, format_univariate
 
 
 class Matrix:
@@ -349,35 +349,6 @@ class UniPoly:
         return format_univariate(self.coeffs, "t", self.field)
 
     __repr__ = __str__
-
-
-def format_univariate(coeffs, var: str = "t", field: Field = QQ) -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if field.is_zero(c) if not isinstance(c, int) else c == 0:
-            continue
-        cs = field.format_scalar(c) if not isinstance(c, int) else str(c)
-        compound = any(ch in cs[1:] for ch in "+-")
-        if k == 0:
-            body = f"({cs})" if compound else cs
-            sign = "+" if compound or not cs.startswith("-") else "-"
-            mag = body if compound else (cs[1:] if cs.startswith("-") else cs)
-        else:
-            mono = var if k == 1 else f"{var}^{k}"
-            if compound:
-                sign, mag = "+", f"({cs})*{mono}"
-            else:
-                sign = "-" if cs.startswith("-") else "+"
-                c_abs = cs[1:] if cs.startswith("-") else cs
-                mag = mono if c_abs == "1" else f"{c_abs}*{mono}"
-        if not parts:
-            parts.append(mag if sign == "+" else f"-{mag}")
-        else:
-            parts.append(f"{sign}{mag}")
-    return "".join(parts) if parts else "0"
 
 
 def sequence_annihilator(field: Field, vectors) -> UniPoly:

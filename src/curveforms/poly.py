@@ -11,9 +11,9 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .errors import PolySyntaxError, UnknownSymbol, ZeroInput
+from .errors import InvalidInput, PolySyntaxError, UnknownSymbol, ZeroInput
 from .field import (QQ, ExtElement, Field, NumberField, Rational,
-                    check_same_field)
+                    check_same_field, format_terms)
 
 NEG_INFINITY = float("-inf")
 
@@ -30,8 +30,8 @@ class Weights(NamedTuple):
 
     @classmethod
     def of(cls, alpha1: int, alpha2: int) -> "Weights":
-        if alpha1 < 1 or alpha2 < 1:
-            raise ValueError("weights must be positive integers")
+        if not all(isinstance(a, int) and a >= 1 for a in (alpha1, alpha2)):
+            raise InvalidInput("weights must be positive integers")
         return cls(int(alpha1), int(alpha2))
 
 
@@ -558,41 +558,19 @@ def field_from_minpoly(text: str, generator_name: str = "z") -> NumberField:
 
 def _format_monomial(mono) -> str:
     i, j = mono
-    parts = []
-    if i:
-        parts.append("x" if i == 1 else f"x^{i}")
-    if j:
-        parts.append("y" if j == 1 else f"y^{j}")
-    return "*".join(parts)
+    xs = "x" if i == 1 else f"x^{i}" if i else ""
+    if not j:
+        return xs
+    ys = "y" if j == 1 else f"y^{j}"
+    return f"{xs}*{ys}" if xs else ys
 
 
 def format_polynomial(p: Polynomial) -> str:
     """Canonical text; terms in descending grevlex order; re-parseable."""
-    if not p.terms:
-        return "0"
-    pieces = []
-    for mono in sorted(p.terms, key=GREVLEX.key, reverse=True):
-        coeff = p.terms[mono]
-        cs = p.field.format_scalar(coeff)
-        compound = any(ch in cs[1:] for ch in "+-")
-        mstr = _format_monomial(mono)
-        if compound:
-            body = f"({cs})*{mstr}" if mstr else f"({cs})"
-            sign = "+"
-        else:
-            sign = "-" if cs.startswith("-") else "+"
-            mag = cs[1:] if cs.startswith("-") else cs
-            if not mstr:
-                body = mag
-            elif mag == "1":
-                body = mstr
-            else:
-                body = f"{mag}*{mstr}"
-        if not pieces:
-            pieces.append(body if sign == "+" else f"-{body}")
-        else:
-            pieces.append(f"{sign}{body}")
-    return "".join(pieces)
+    terms = p.terms
+    return format_terms([(_format_monomial(m), terms[m])
+                         for m in sorted(terms, key=GREVLEX.key, reverse=True)],
+                        p.field.format_scalar)
 
 
 def format_one_form(w: OneForm) -> str:

@@ -5,7 +5,7 @@ A form is tangent exactly when f_x*Q - f_y*P lies in <f>, so the module is
 the projection to (P, Q) of the relations among (-f_y, f_x, f).  On top of
 that raw construction sit: the distinguished 1-form built from a kernel
 witness theta (f*theta = A*f_x + B*f_y gives -B dx + A dy), generation
-verification with certificates, greedy minimal generating sets, and the
+verification with certificates, greedy irredundant generating sets, and the
 Saito wedge test for freeness.
 """
 
@@ -18,7 +18,7 @@ from .errors import (InvariantViolation, NotHomogeneous, NotInJacobian,
                      NotSmooth, NotTangent, ZeroInput)
 from .field import Rational
 from .groebner import (GroebnerBasis, ModuleOrder, ModuleVector, buchberger,
-                       membership, syzygies)
+                       syzygies)
 from .milnor import MilnorAlgebra
 from .poly import (OneForm, Polynomial, TermOrder, Weights,
                    exterior_derivative, format_one_form, wedge)
@@ -166,8 +166,8 @@ def minimal_generators(gens: GeneratorSet, order=None) -> GeneratorSet:
         if len(kept) == 1:
             break
         rest = [u for u in kept if u is not w]
-        if membership(form_vector(w), [form_vector(u) for u in rest],
-                      order).contained:
+        if buchberger([form_vector(u) for u in rest], order).reduces_to_zero(
+                form_vector(w)):
             kept = rest
     kept.sort(key=lambda u: (u.total_degree(), format_one_form(u)))
     return GeneratorSet("minimal", kept, gens.f)

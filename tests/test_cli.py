@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 
 from curveforms.cli import main
 
@@ -161,3 +162,26 @@ def test_corpus_failure_exit_code(monkeypatch, capsys):
     assert main(["corpus", "--only", "broken"]) == 1
     out = capsys.readouterr().out
     assert "FAIL always_fails" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "-f", "x*y-1", "--minpoly", "z+1"],       # degree 1
+    ["analyze", "-f", "x*y-1", "--minpoly", "2*z^2+1"],   # not monic
+    ["analyze", "-f", "x*y-1", "--minpoly", "z^2+2*z+1"], # not squarefree
+    ["analyze", "-f", "x^1000000+y", "--weights", "5000", "1"],  # packed range
+    ["corpus", "--only", "nonexistent"],
+])
+def test_input_errors_are_typed(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_internal_error_is_not_bad_input(monkeypatch, capsys):
+    from curveforms import cli as cli_mod
+
+    def boom(*args, **kwargs):
+        raise ValueError("synthetic internal bug")
+
+    monkeypatch.setattr(cli_mod.analysis, "analyze", boom)
+    assert cli_mod.main(["analyze", "-f", "x*y-1"]) == 3
+    assert "synthetic internal bug" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import as_poly, ndiff, nmul, poly_dict, polynomials
-from curveforms import (NEG_INFINITY, NumberField, OneForm,
+from curveforms import (NEG_INFINITY, InvalidInput, NumberField, OneForm,
                         PolySyntaxError, Polynomial, QQ, TermOrder,
                         UnknownSymbol, Weights, ZeroInput,
                         exterior_derivative, format_polynomial,
@@ -136,6 +136,12 @@ def test_leading_form_weighted():
 def test_leading_form_of_zero_raises():
     with pytest.raises(ZeroInput):
         Polynomial.zero().leading_form(Weights(1, 1))
+
+
+@pytest.mark.parametrize("bad", [(0, 1), (1, -2), (1.5, 2), (2, "3")])
+def test_weights_must_be_positive_integers(bad):
+    with pytest.raises(InvalidInput):
+        Weights.of(*bad)
 
 
 @settings(max_examples=150, deadline=None)
