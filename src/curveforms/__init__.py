@@ -21,11 +21,10 @@ from .poly import (GREVLEX, NEG_INFINITY, OneForm, Polynomial, TermOrder,
                    format_one_form, format_polynomial, parse_polynomial,
                    parse_scalar, parse_univariate, pullback, wedge)
 from .tangent import (GenerationResult, GeneratorSet, SaitoResult,
-                      form_vector, four_generators, is_tangent,
-                      minimal_generators, omega_from_theta,
-                      quasihomogeneous_pair, saito_check, smooth_generators,
-                      syzygy_generators, tangency_defect, trivial_forms,
-                      vector_form, verify_generation)
+                      four_generators, is_tangent, minimal_generators,
+                      omega_from_theta, quasihomogeneous_pair, saito_check,
+                      smooth_generators, syzygy_generators, tangency_defect,
+                      trivial_forms, verify_generation)
 from .analysis import AnalysisReport, analyze
 from .plotting import marching_squares, plot_svg, render_svg
 

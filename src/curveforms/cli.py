@@ -94,8 +94,7 @@ def cmd_jordan(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    fld = field_from_minpoly(args.minpoly) if args.minpoly else QQ
-    f = parse_polynomial(args.poly, fld)
+    f, _ = _parse_input(args)
     svg = plotting.plot_svg(f, window=args.window, grid=args.grid,
                             embedding=args.embed)
     if args.svg:

@@ -19,7 +19,6 @@ from .linalg import Matrix, UniPoly
 from .poly import (OneForm, Polynomial, TermOrder, Weights,
                    exterior_derivative, field_from_minpoly, parse_polynomial,
                    pullback, wedge)
-from .tangent import form_vector
 
 
 @dataclass
@@ -199,8 +198,8 @@ def run_acampo(rec):
     rec.check("omega_in_derlog", tangent.verify_generation(
         derlog, [omega]).generates)
     four = rep.four
-    rec.check("derlog_form_outside_four", not membership(
-        form_vector(derlog[0]), [form_vector(w) for w in four]).contained)
+    rec.check("derlog_form_outside_four",
+              not membership(derlog[0], four).contained)
 
 
 LINSNETO_PAIR = (("-(y^3-1)*x^2", "(x^3-1)*y^2"),
@@ -391,14 +390,11 @@ def run_riccati(rec):
     rec.check("saito_free", s.free)
     rec.equal("wedge_is_f", wedge(w0, winf).coeff, f)
     riccati_form = _form("y^2+x", "x^3-x")
-    result = membership(form_vector(riccati_form),
-                        [form_vector(w0), form_vector(winf)])
+    result = membership(riccati_form, [w0, winf])
     rec.check("riccati_member", result.contained)
     if result.contained:
-        rebuilt = recombine(result.cofactors,
-                            [form_vector(w0), form_vector(winf)])
-        rec.check("riccati_certificate",
-                  rebuilt == form_vector(riccati_form))
+        rebuilt = recombine(result.cofactors, [w0, winf])
+        rec.check("riccati_certificate", rebuilt == riccati_form)
 
 
 @dataclass

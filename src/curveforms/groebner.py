@@ -29,75 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import InvalidInput, RankMismatch
 from .field import NumberField, Rational, check_same_field
-from .poly import Polynomial, TermOrder
-
-
-class ModuleVector:
-    """Fixed-rank vector of polynomials over one field."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: Sequence[Polynomial]):
-        components = tuple(components)
-        if not components:
-            raise ValueError("empty module vector")
-        for c in components[1:]:
-            check_same_field(components[0].field, c.field)
-        self.components = components
-
-    @classmethod
-    def wrap(cls, obj) -> "ModuleVector":
-        if isinstance(obj, ModuleVector):
-            return obj
-        if isinstance(obj, Polynomial):
-            return cls((obj,))
-        return cls(tuple(obj))
-
-    @property
-    def rank(self) -> int:
-        return len(self.components)
-
-    @property
-    def field(self):
-        return self.components[0].field
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        if self.rank != other.rank:
-            raise RankMismatch("vector ranks differ")
-        return ModuleVector(tuple(a + b for a, b in
-                                  zip(self.components, other.components)))
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        if self.rank != other.rank:
-            raise RankMismatch("vector ranks differ")
-        return ModuleVector(tuple(a - b for a, b in
-                                  zip(self.components, other.components)))
-
-    def __neg__(self):
-        return ModuleVector(tuple(-a for a in self.components))
-
-    def scale_poly(self, p: Polynomial) -> "ModuleVector":
-        return ModuleVector(tuple(p * a for a in self.components))
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        return self.components == other.components
-
-    def total_degree(self):
-        return max(c.total_degree() for c in self.components)
-
-    def __str__(self):
-        return "(" + ", ".join(str(c) for c in self.components) + ")"
-
-    __repr__ = __str__
+from .poly import ModuleVector, Polynomial, TermOrder
 
 
 class ModuleOrder:
@@ -555,6 +491,5 @@ def recombine(cofactors, gens) -> ModuleVector:
     vecs = [ModuleVector.wrap(g) for g in gens]
     out = None
     for c, g in zip(cofactors, vecs):
-        piece = g.scale_poly(c)
-        out = piece if out is None else out + piece
+        out = c * g if out is None else out + c * g
     return out

@@ -1,5 +1,6 @@
 """Sparse bivariate polynomials over an exact field, with weighted monomial
-orders, differential 1- and 2-forms, and a text grammar.
+orders, module vectors (differential 1- and 2-forms among them), and a text
+grammar.
 
 Monomials are plain ``(i, j)`` exponent pairs.  The term order used
 throughout is weighted degree first, ties broken reverse-lexicographically
@@ -9,9 +10,10 @@ with x > y; it is degree-compatible for any positive weights.
 from __future__ import annotations
 
 from math import comb
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .errors import InvalidInput, PolySyntaxError, UnknownSymbol, ZeroInput
+from .errors import (InvalidInput, PolySyntaxError, RankMismatch, UnknownSymbol,
+                     ZeroInput)
 from .field import (QQ, ExtElement, Field, NumberField, Rational,
                     check_same_field, format_terms)
 
@@ -297,82 +299,130 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# differential forms
+# module vectors and differential forms
 
-class OneForm:
-    """P dx + Q dy with polynomial components over one field."""
 
-    __slots__ = ("P", "Q")
+class ModuleVector:
+    """Fixed-rank vector of polynomials over one field.  Arithmetic keeps
+    the class of the vector operand, so sums and multiples of forms are
+    forms again."""
 
-    def __init__(self, P: Polynomial, Q: Polynomial):
-        check_same_field(P.field, Q.field)
-        self.P = P
-        self.Q = Q
+    __slots__ = ("components",)
+
+    def __init__(self, components: Sequence[Polynomial]):
+        components = tuple(components)
+        if not components:
+            raise ValueError("empty module vector")
+        for c in components[1:]:
+            check_same_field(components[0].field, c.field)
+        self.components = components
+
+    @classmethod
+    def wrap(cls, obj) -> "ModuleVector":
+        if isinstance(obj, ModuleVector):
+            return obj
+        if isinstance(obj, Polynomial):
+            return cls((obj,))
+        return cls(tuple(obj))
+
+    def _like(self, components):
+        v = object.__new__(type(self))
+        v.components = components
+        return v
+
+    @property
+    def rank(self) -> int:
+        return len(self.components)
 
     @property
     def field(self):
-        return self.P.field
+        return self.components[0].field
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.components)
+
+    def __add__(self, other):
+        if not isinstance(other, ModuleVector):
+            return NotImplemented
+        if self.rank != other.rank:
+            raise RankMismatch("vector ranks differ")
+        return self._like(tuple(a + b for a, b in
+                                zip(self.components, other.components)))
+
+    def __sub__(self, other):
+        if not isinstance(other, ModuleVector):
+            return NotImplemented
+        if self.rank != other.rank:
+            raise RankMismatch("vector ranks differ")
+        return self._like(tuple(a - b for a, b in
+                                zip(self.components, other.components)))
+
+    def __neg__(self):
+        return self._like(tuple(-a for a in self.components))
+
+    def __mul__(self, other):
+        """Multiple by a polynomial or a scalar, from either side."""
+        if not isinstance(other, (Polynomial, int, Rational, ExtElement)):
+            return NotImplemented
+        return self._like(tuple(a * other for a in self.components))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, ModuleVector):
+            return NotImplemented
+        return self.components == other.components
+
+    def total_degree(self):
+        return max(c.total_degree() for c in self.components)
+
+    def __str__(self):
+        return "(" + ", ".join(str(c) for c in self.components) + ")"
+
+    __repr__ = __str__
+
+
+class OneForm(ModuleVector):
+    """P dx + Q dy, the rank-2 vector (P, Q)."""
+
+    __slots__ = ()
+
+    def __init__(self, P: Polynomial, Q: Polynomial):
+        super().__init__((P, Q))
+
+    @property
+    def P(self) -> Polynomial:
+        return self.components[0]
+
+    @property
+    def Q(self) -> Polynomial:
+        return self.components[1]
 
     @classmethod
     def zero(cls, field: Field = QQ) -> "OneForm":
         z = Polynomial.zero(field)
         return cls(z, z)
 
-    def __add__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return OneForm(self.P + other.P, self.Q + other.Q)
-
-    def __sub__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return OneForm(self.P - other.P, self.Q - other.Q)
-
-    def __neg__(self):
-        return OneForm(-self.P, -self.Q)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            return OneForm(self.P * other, self.Q * other)
-        return OneForm(self.P.scale(other), self.Q.scale(other))
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.P.is_zero() and self.Q.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return self.P == other.P and self.Q == other.Q
-
-    def total_degree(self):
-        return max(self.P.total_degree(), self.Q.total_degree())
-
     def __str__(self):
-        return f"({self.P})*dx + ({self.Q})*dy"
+        return format_one_form(self)
 
     __repr__ = __str__
 
 
-class TwoForm:
-    """c dx^dy; just a tagged polynomial coefficient."""
+class TwoForm(ModuleVector):
+    """c dx^dy, the rank-1 vector (c,)."""
 
-    __slots__ = ("coeff",)
+    __slots__ = ()
 
     def __init__(self, coeff: Polynomial):
-        self.coeff = coeff
+        super().__init__((coeff,))
 
-    def is_zero(self) -> bool:
-        return self.coeff.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, TwoForm):
-            return NotImplemented
-        return self.coeff == other.coeff
+    @property
+    def coeff(self) -> Polynomial:
+        return self.components[0]
 
     def __str__(self):
-        return f"({self.coeff})*dx^dy"
+        return f"[{format_polynomial(self.coeff)}] dx^dy"
 
     __repr__ = __str__
 

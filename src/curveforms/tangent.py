@@ -17,21 +17,10 @@ from typing import Optional, Sequence
 from .errors import (InvariantViolation, NotHomogeneous, NotInJacobian,
                      NotSmooth, NotTangent, ZeroInput)
 from .field import Rational
-from .groebner import (GroebnerBasis, ModuleOrder, ModuleVector, buchberger,
-                       syzygies)
+from .groebner import GroebnerBasis, ModuleOrder, buchberger, syzygies
 from .milnor import MilnorAlgebra
-from .poly import (OneForm, Polynomial, TermOrder, Weights,
+from .poly import (ModuleVector, OneForm, Polynomial, TermOrder, Weights,
                    exterior_derivative, format_one_form, wedge)
-
-
-def form_vector(w: OneForm) -> ModuleVector:
-    return ModuleVector((w.P, w.Q))
-
-
-def vector_form(v: ModuleVector) -> OneForm:
-    if v.rank != 2:
-        raise ValueError("expected a rank-2 vector")
-    return OneForm(v.components[0], v.components[1])
 
 
 def divide(p: Polynomial, f: Polynomial):
@@ -60,9 +49,6 @@ class GeneratorSet:
 
     def __len__(self):
         return len(self.forms)
-
-    def vectors(self):
-        return [form_vector(w) for w in self.forms]
 
     def __str__(self):
         body = "; ".join(format_one_form(w) for w in self.forms)
@@ -140,10 +126,10 @@ def verify_generation(candidate, reference) -> GenerationResult:
     exact cofactor rows; the witness is the first failing form."""
     cand_forms = candidate.forms if isinstance(candidate, GeneratorSet) else list(candidate)
     ref_forms = reference.forms if isinstance(reference, GeneratorSet) else list(reference)
-    gb = buchberger([form_vector(w) for w in cand_forms], track_cofactors=True)
+    gb = buchberger(cand_forms, track_cofactors=True)
     rows = []
     for w in ref_forms:
-        rem, cof = gb.normal_form(form_vector(w), track_cofactors=True)
+        rem, cof = gb.normal_form(w, track_cofactors=True)
         if not rem.is_zero():
             return GenerationResult(False, witness=w)
         rows.append(gb.cofactors_on_inputs(cof))
@@ -159,15 +145,14 @@ def minimal_generators(gens: GeneratorSet, order=None) -> GeneratorSet:
     """
     if not gens.forms:
         raise ZeroInput("empty generating set")
-    gb = buchberger(gens.vectors(), order)
-    kept = [vector_form(v) for v in gb.generators]
+    gb = buchberger(gens.forms, order)
+    kept = [OneForm(*v.components) for v in gb.generators]
     for w in sorted(kept, key=lambda u: (u.total_degree(), format_one_form(u)),
                     reverse=True):
         if len(kept) == 1:
             break
         rest = [u for u in kept if u is not w]
-        if buchberger([form_vector(u) for u in rest], order).reduces_to_zero(
-                form_vector(w)):
+        if buchberger(rest, order).reduces_to_zero(w):
             kept = rest
     kept.sort(key=lambda u: (u.total_degree(), format_one_form(u)))
     return GeneratorSet("minimal", kept, gens.f)

@@ -104,6 +104,16 @@ def test_plot_rejects_bad_grid(capsys):
     assert main(["plot", "-f", "x", "--grid", "1"]) == 1
 
 
+def test_plot_validates_weights(tmp_path, capsys):
+    target = tmp_path / "circle.svg"
+    args = ["plot", "-f", "x^2+y^2-1", "--grid", "4", "--svg", str(target)]
+    assert main(args + ["--weights", "0", "1"]) == 1
+    assert "weights must be positive integers" in capsys.readouterr().err
+    assert not target.exists()
+    assert main(args + ["--weights", "1", "2"]) == 0
+    assert target.read_text().startswith("<svg")
+
+
 def test_plot_extension_embedding(tmp_path, capsys):
     target = tmp_path / "ext.svg"
     args = ["plot", "-f", "x^2+y^2-z", "--minpoly", "z^2-z-1",

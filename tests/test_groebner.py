@@ -273,7 +273,7 @@ def test_rank_two_certificates_recombine():
             continue
         target = None
         for v in vecs:
-            piece = v.scale_poly(_random_poly(rng, 1, 2))
+            piece = _random_poly(rng, 1, 2) * v
             target = piece if target is None else target + piece
         if target is None or target.is_zero():
             continue

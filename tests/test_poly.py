@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import as_poly, ndiff, nmul, poly_dict, polynomials
-from curveforms import (NEG_INFINITY, InvalidInput, NumberField, OneForm,
-                        PolySyntaxError, Polynomial, QQ, TermOrder,
-                        UnknownSymbol, Weights, ZeroInput,
-                        exterior_derivative, format_polynomial,
-                        parse_polynomial, pullback, wedge)
+from curveforms import (NEG_INFINITY, InvalidInput, ModuleVector, NumberField,
+                        OneForm, PolySyntaxError, Polynomial, QQ, RankMismatch,
+                        Rational, TermOrder, TwoForm, UnknownSymbol, Weights,
+                        ZeroInput, exterior_derivative, field_from_minpoly,
+                        format_one_form, format_polynomial, parse_polynomial,
+                        pullback, wedge)
 
 
 X = Polynomial.variable("x")
@@ -232,6 +233,76 @@ def test_wedge_sign_convention_lock(f, a, b):
     lhs = wedge(exterior_derivative(f), OneForm(-b, a)).coeff
     rhs = a * f.diff("x") + b * f.diff("y")
     assert lhs == rhs
+
+
+# -- forms are module vectors ---------------------------------------------------
+
+def test_one_form_is_the_vector_of_its_components():
+    P, Q = parse_polynomial("x^2+y"), parse_polynomial("x*y-1")
+    w = OneForm(P, Q)
+    assert isinstance(w, ModuleVector) and w.rank == 2
+    assert w.components == (P, Q)
+    assert w == ModuleVector((P, Q)) and ModuleVector((P, Q)) == w
+    assert w != ModuleVector((Q, P))
+
+
+def test_form_arithmetic_keeps_the_form():
+    P, Q = parse_polynomial("x^2+y"), parse_polynomial("x*y-1")
+    R, S = parse_polynomial("y^3"), parse_polynomial("2*x-y")
+    w, v = OneForm(P, Q), OneForm(R, S)
+    p, third = parse_polynomial("x-3*y"), Rational(1, 3)
+    cases = [(p * w, p * P, p * Q), (w * p, P * p, Q * p),
+             (2 * w, P * 2, Q * 2), (w * 2, P * 2, Q * 2),
+             (third * w, P * third, Q * third),
+             (w + v, P + R, Q + S), (w - v, P - R, Q - S), (-w, -P, -Q)]
+    for got, want_p, want_q in cases:
+        assert type(got) is OneForm
+        assert (got.P, got.Q) == (want_p, want_q)
+    assert type(ModuleVector((P, Q)) + w) is ModuleVector
+
+
+def test_form_arithmetic_over_an_extension():
+    K = field_from_minpoly("z^2+1")
+    P, Q = parse_polynomial("z*x+y", K), parse_polynomial("x^2-z", K)
+    w, i = OneForm(P, Q), K.generator
+    for got in (i * w, w * i, Polynomial.constant(i, K) * w):
+        assert type(got) is OneForm
+        assert got == ModuleVector((P.scale(i), Q.scale(i)))
+
+
+def test_form_arithmetic_rejects_other_operands():
+    P, Q = parse_polynomial("x^2+y"), parse_polynomial("x*y-1")
+    w = OneForm(P, Q)
+    with pytest.raises(RankMismatch):
+        w + ModuleVector((P, Q, P))
+    with pytest.raises(RankMismatch):
+        w - ModuleVector((P,))
+    assert w.__mul__("x") is NotImplemented
+    for form in (w, OneForm.zero()):
+        with pytest.raises(TypeError):
+            form * "x"
+        with pytest.raises(TypeError):
+            form + P
+
+
+def test_wedge_is_a_rank_one_vector():
+    u = OneForm(parse_polynomial("x^2+y"), parse_polynomial("x*y-1"))
+    v = OneForm(parse_polynomial("y^3"), parse_polynomial("2*x-y"))
+    two = wedge(u, v)
+    assert type(two) is TwoForm and isinstance(two, ModuleVector)
+    assert two.rank == 1
+    assert two.coeff == u.P * v.Q - u.Q * v.P
+    assert two == ModuleVector((two.coeff,))
+    assert type(-two) is TwoForm and (-two).coeff == -two.coeff
+
+
+def test_forms_print_through_the_canonical_printer():
+    w = OneForm(parse_polynomial("-x^2+1/2*y"), parse_polynomial("x*y"))
+    assert str(w) == repr(w) == format_one_form(w)
+    assert str(w) == "[-x^2+1/2*y] dx + [x*y] dy"
+    two = wedge(w, exterior_derivative(parse_polynomial("x*y-1")))
+    assert str(two) == repr(two) == f"[{format_polynomial(two.coeff)}] dx^dy"
+    assert str(TwoForm(parse_polynomial("x-1"))) == "[x-1] dx^dy"
 
 
 # -- evaluation and substitution ----------------------------------------------

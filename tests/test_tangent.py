@@ -2,16 +2,17 @@
 
 import pytest
 
-from curveforms import (NotHomogeneous, NotInJacobian, NotSmooth, NotTangent,
-                        OneForm, Polynomial, QQ, TermOrder, Weights,
-                        exterior_derivative, four_generators, is_tangent,
+from curveforms import (ModuleVector, NotHomogeneous, NotInJacobian, NotSmooth,
+                        NotTangent, OneForm, Polynomial, QQ, TermOrder,
+                        Weights, buchberger, exterior_derivative,
+                        field_from_minpoly, four_generators, is_tangent,
                         membership, milnor_algebra, min_poly,
                         minimal_generators, multiplication_operator,
                         omega_from_theta, parse_polynomial,
-                        quasihomogeneous_pair, saito_check, smooth_generators,
-                        syzygy_generators, tangency_defect, theta_polynomial,
-                        trivial_forms, verify_generation, wedge)
-from curveforms.tangent import form_vector
+                        quasihomogeneous_pair, recombine, saito_check,
+                        smooth_generators, syzygy_generators, tangency_defect,
+                        theta_polynomial, trivial_forms, verify_generation,
+                        wedge)
 
 
 def _p(text):
@@ -84,8 +85,7 @@ def test_four_generator_set_acampo_fails_generation():
     verdict = verify_generation(four, raw)
     assert not verdict.generates
     assert verdict.witness is not None
-    assert not membership(form_vector(verdict.witness),
-                          [form_vector(w) for w in four.forms]).contained
+    assert not membership(verdict.witness, four.forms).contained
 
 
 def test_verify_generation_quasihomogeneous():
@@ -102,7 +102,7 @@ def test_minimal_counts():
 
 def test_minimal_set_is_irredundant():
     mini = minimal_generators(syzygy_generators(_p(ACAMPO)))
-    vectors = [form_vector(w) for w in mini.forms]
+    vectors = mini.forms
     for k in range(len(vectors)):
         rest = vectors[:k] + vectors[k + 1:]
         assert not membership(vectors[k], rest).contained
@@ -195,8 +195,8 @@ def test_generation_certificates_recombine():
     assert verdict.generates
     from curveforms import recombine
     for row, target in zip(verdict.certificates, triv):
-        rebuilt = recombine(row, [form_vector(w) for w in raw.forms])
-        assert rebuilt == form_vector(target)
+        rebuilt = recombine(row, raw.forms)
+        assert rebuilt == target
 
 
 def test_minimal_generators_respect_order_argument():
@@ -206,3 +206,26 @@ def test_minimal_generators_respect_order_argument():
     mini = minimal_generators(raw, order)
     assert len(mini) == 2
     assert saito_check(mini.forms, f).free
+
+
+@pytest.mark.parametrize("text, minpoly", [("x^2+y^2-1", None),
+                                           ("x^2+y^2+z*x*y-1", "z^2+1")])
+def test_engine_takes_forms_directly(text, minpoly):
+    fld = field_from_minpoly(minpoly) if minpoly else QQ
+    f = parse_polynomial(text, fld)
+    triv = trivial_forms(f)
+    as_vectors = [ModuleVector(w.components) for w in triv]
+    assert (buchberger(triv).generators
+            == buchberger(as_vectors).generators)
+    target = (parse_polynomial("x-y", fld) * triv[0]
+              + parse_polynomial("y^2", fld) * triv[2])
+    result = membership(target, triv)
+    assert result.contained
+    rebuilt = recombine(result.cofactors, triv)
+    assert type(rebuilt) is OneForm and rebuilt == target
+    verdict = verify_generation(triv, [target])
+    assert verdict.generates
+    assert recombine(verdict.certificates[0], triv) == target
+    dx = OneForm(Polynomial.constant(1, fld), Polynomial.zero(fld))
+    assert not membership(dx, triv).contained
+    assert not verify_generation(triv, [dx]).generates
