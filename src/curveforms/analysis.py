@@ -186,7 +186,8 @@ def analyze(f: Polynomial, weights: Weights = Weights(1, 1), *,
         return report
 
     t0 = time.perf_counter()
-    ma = milnor.milnor_algebra(f, weights, allow_untame=allow_untame)
+    ma = milnor.milnor_algebra(f, weights, allow_untame=allow_untame,
+                               tame_res=tame_res)
     report.mu = ma.mu
     report.tau = milnor.tjurina_number(ma)
     op = milnor.multiplication_operator(ma)

@@ -1,11 +1,14 @@
 """Buchberger Groebner bases for ideals in K[x,y] and submodules of K[x,y]^r.
 
-One engine covers everything.  Cofactor transforms and syzygies both come
-from a single augmented run: each generator g_k is extended with a unit tag
-e_k and the basis is computed under an order that eliminates the original
-block, so output rows with a surviving first block form a basis of the
-module (their tags expressing them in the inputs), while rows with a zero
-first block are exactly the syzygies.
+One engine covers everything.  Cofactor transforms come from an augmented
+run: each generator g_k is extended with a unit tag e_k and the basis is
+computed under an order that eliminates the original block, so output rows
+with a surviving first block form a basis of the module (their tags
+expressing them in the inputs), while rows with a zero first block are
+exactly the syzygies.  Syzygies come from that run only when the inputs are
+not polynomials generating (1); for those (a smooth affine curve's
+-f_y, f_x, f) a tag-free run proves the unit ideal and the relations are
+the reduced basis of the Koszul rows, which carry no Bezout cofactors.
 
 Terms are packed: ModuleOrder.key codes a term (pos, i, j) as one int whose
 integer order is the module order, so a leading term is a plain max() and
@@ -28,6 +31,7 @@ criterion is only valid for ideals, so it is applied solely in rank 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd, lcm
 from typing import Optional
 
@@ -363,15 +367,20 @@ class GroebnerBasis:
     def leading_terms(self):
         return [_unpack(t) for _, t, _ in self._cores]
 
-    def normal_form(self, v, track_cofactors: bool = False):
-        """Remainder of v; with tracking also the cofactors against the basis."""
+    def _reduce(self, v, track):
+        """(scale, remainder, tracked data) of the engine vector v / scale."""
         v = ModuleVector.wrap(v)
         if v.rank != self.rank:
             raise RankMismatch(f"rank {v.rank} against a rank-{self.rank} basis")
         core, scale = _integral(_vec_core(v, self.order.key), self.field)
-        rem, (mult, cof) = _normal_form_core(
+        rem, tracked = _normal_form_core(
             core, [c for c, _, _ in self._cores], [t for _, t, _ in self._cores],
-            None, True)
+            None, track)
+        return scale, rem, tracked
+
+    def normal_form(self, v, track_cofactors: bool = False):
+        """Remainder of v; with tracking also the cofactors against the basis."""
+        scale, rem, (mult, cof) = self._reduce(v, True)
         s = scale if mult == 1 else scale / mult
         remainder = _core_vec(_times(rem, s, self.field), self.rank, self.field)
         if not track_cofactors:
@@ -381,7 +390,8 @@ class GroebnerBasis:
             for d, (_, _, lam) in zip(cof, self._cores)]
 
     def reduces_to_zero(self, v) -> bool:
-        return self.normal_form(v).is_zero()
+        _, rem, _ = self._reduce(v, False)
+        return not rem
 
     def cofactors_on_inputs(self, basis_cofactors):
         """Rewrite basis cofactors as cofactors on the original generators."""
@@ -415,6 +425,12 @@ def _prepare(gens, order):
     return vecs, rank, field, order
 
 
+def _seeds(vecs, field, order):
+    """Engine vectors of the nonzero vecs."""
+    return [_integral(_vec_core(v, order.key), field)[0]
+            for v in vecs if not v.is_zero()]
+
+
 def buchberger(gens, order=None, track_cofactors: bool = False) -> GroebnerBasis:
     """Reduced Groebner basis of the module generated by ``gens``.
 
@@ -423,8 +439,7 @@ def buchberger(gens, order=None, track_cofactors: bool = False) -> GroebnerBasis
     """
     vecs, rank, field, order = _prepare(gens, order)
     if not track_cofactors:
-        seeds = [_integral(_vec_core(v, order.key), field)[0]
-                 for v in vecs if not v.is_zero()]
+        seeds = _seeds(vecs, field, order)
         if not seeds:
             raise ValueError("all generators are zero")
         rows = [(core, t, None) for core, t in _run_buchberger(seeds, order)]
@@ -467,10 +482,37 @@ def _augmented_run(vecs, rank, field, order):
 
 
 def syzygies(gens, order=None):
-    """Generators of the relation module {(a_i) : sum a_i * gens_i = 0}."""
+    """Generators of the relation module {(a_i) : sum a_i * gens_i = 0}: its
+    reduced Groebner basis under ModuleOrder(order.base, len(gens)).
+
+    When rank-1 inputs g_1..g_s generate (1), which a tag-free run decides,
+    the relations are generated by the Koszul rows
+    k_ij = g_j*e_i - g_i*e_j: if sum a_j*g_j = 1 and sum r_i*g_i = 0, then
+    r = sum_ij r_i*a_j*k_ij.  The augmented run orders its tag positions like
+    ModuleOrder(base, s) and a reduced basis is unique, so both routes give
+    the same rows; only a proper ideal or a module needs the augmented run.
+    """
     vecs, rank, field, order = _prepare(gens, order)
+    if rank == 1:
+        unit = _run_buchberger(_seeds(vecs, field, order), order)
+        if len(unit) == 1 and _unpack(unit[0][1]) == (0, 0, 0):
+            return _koszul_syzygies([v.components[0] for v in vecs], field, order)
     _, syz = _augmented_run(vecs, rank, field, order)
     return syz
+
+
+def _koszul_syzygies(polys, field, order):
+    """Reduced basis of the module of the Koszul rows of polys."""
+    s = len(polys)
+    syz_order = ModuleOrder(order.base, s)
+    zero = Polynomial.zero(field)
+    rows = []
+    for i, j in combinations(range(s), 2):
+        row = [zero] * s
+        row[i], row[j] = polys[j], -polys[i]
+        rows.append(ModuleVector(tuple(row)))
+    return [_core_vec(_public(core, t, field), s, field)
+            for core, t in _run_buchberger(_seeds(rows, field, syz_order), syz_order)]
 
 
 def membership(v, gens, order=None) -> Membership:

@@ -129,11 +129,14 @@ class MilnorAlgebra:
 
 
 def milnor_algebra(f: Polynomial, weights: Weights = Weights(1, 1), *,
-                   allow_untame: bool = False) -> MilnorAlgebra:
+                   allow_untame: bool = False,
+                   tame_res: Optional[TameResult] = None) -> MilnorAlgebra:
     """Build V_f.  Requires a finite-dimensional quotient; by default also a
-    tame f (pass allow_untame for inputs that are finite-dimensional anyway)."""
+    tame f (pass allow_untame for inputs that are finite-dimensional anyway).
+    A caller that already ran check_tame(f, weights) passes its result."""
     weights = Weights.of(*weights)
-    tame_res = check_tame(f, weights)
+    if tame_res is None:
+        tame_res = check_tame(f, weights)
     if not tame_res.tame and not allow_untame:
         raise NotTame(tame_res.reason)
     order = TermOrder(weights)

@@ -398,11 +398,6 @@ class OneForm(ModuleVector):
     def Q(self) -> Polynomial:
         return self.components[1]
 
-    @classmethod
-    def zero(cls, field: Field = QQ) -> "OneForm":
-        z = Polynomial.zero(field)
-        return cls(z, z)
-
     def __str__(self):
         return format_one_form(self)
 

@@ -131,3 +131,20 @@ def test_analyze_computes_tau_once(monkeypatch):
     assert rep.tau == 10 and rep.kernel_condition is not None
     # one run for <f_x, f_y, f>, shared by the report and kernel_condition
     assert sum(gens == tau_ideal for gens in calls) == 1
+
+
+def test_analyze_checks_tameness_once(monkeypatch):
+    f = parse_polynomial("x^5+y^5-x^2*y^2")
+    top_jacobian = milnor.jacobian(f.leading_form(Weights(1, 1)))
+    calls = []
+    original = milnor.buchberger
+
+    def counting(gens, *args, **kwargs):
+        calls.append(list(gens))
+        return original(gens, *args, **kwargs)
+    monkeypatch.setattr(milnor, "buchberger", counting)
+    rep = analyze(f)
+    assert rep.tame and rep.mu == 16
+    # check_tame's basis of <g_x, g_y>, g the top form, is shared with
+    # milnor_algebra instead of being computed again
+    assert sum(gens == top_jacobian for gens in calls) == 1

@@ -51,6 +51,18 @@ def test_analyze_json_output(tmp_path, capsys):
     assert doc["quasi_homogeneous"]["eta"] == {"P": "-1/3*y", "Q": "1/3*x"}
 
 
+def test_analyze_deformed_sextic(tmp_path, capsys):
+    # a smooth curve whose syzygy run once gave no result within minutes
+    target = tmp_path / "deformed6.json"
+    code = main(["analyze", "-f", "x^6+y^6-x^2*y^2+3*x^3*y-1",
+                 "--json", str(target)])
+    assert code == 0
+    doc = json.loads(target.read_text())
+    assert (doc["mu"], doc["tau"]) == (25, 0)
+    assert doc["generators"]["syzygy_count"] == 3
+    assert doc["generation"]["generates"]
+
+
 def test_analyze_with_minpoly(capsys):
     code = main(["analyze", "-f", "x^2+y^2-1", "--minpoly", "z^2+1"])
     out = capsys.readouterr().out

@@ -7,14 +7,16 @@ divide by the first basis element whose leading term divides, so every
 comparison is exact equality in the public types.
 """
 
+from contextlib import contextmanager
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 import rational_oracle as oracle
 from curveforms import (QQ, ModuleVector, OneForm, Polynomial, TermOrder,
-                        buchberger, membership, parse_polynomial, recombine,
-                        syzygies)
+                        buchberger, groebner, membership, parse_polynomial,
+                        recombine, syzygies)
 from curveforms.field import ExtElement, Rational
 from curveforms.poly import field_from_minpoly
 from curveforms.tangent import (divide, syzygy_generators, trivial_forms,
@@ -29,6 +31,37 @@ CURVES = CORPUS_CURVES + [("x*(x-1)*(x+1)", (1, 1), None),
 
 def _curve(text, minpoly):
     return parse_polynomial(text, field_from_minpoly(minpoly) if minpoly else QQ)
+
+
+_AUGMENTED_RUN = groebner._augmented_run
+
+
+def augmented_syzygies(gens, order=None):
+    """The relation rows of the augmented run, the route syzygies takes when
+    the inputs do not generate (1); kept as the oracle of the Koszul route."""
+    return _AUGMENTED_RUN(*groebner._prepare(gens, order))[1]
+
+
+@contextmanager
+def augmented_runs():
+    """Records every augmented run made inside the block."""
+    runs = []
+
+    def counting(*args):
+        runs.append(args)
+        return _AUGMENTED_RUN(*args)
+    groebner._augmented_run = counting
+    try:
+        yield runs
+    finally:
+        groebner._augmented_run = _AUGMENTED_RUN
+
+
+def generates_one(gens):
+    """<gens> == (1), decided by the rational oracle's basis."""
+    nonzero = [g for g in gens if not ModuleVector.wrap(g).is_zero()]
+    return bool(nonzero) and oracle.buchberger(nonzero).generators == [
+        ModuleVector((Polynomial.constant(1, nonzero[0].field),))]
 
 
 def assert_field_scalars(*polys):
@@ -78,6 +111,12 @@ def test_corpus_curve_matches_oracle(text, weights, minpoly):
     assert syzygies(gens) == oracle.syzygies(gens)
     assert_field_scalars(*syzygies(gens))
     assert syzygies(gens, TermOrder(weights)) == oracle.syzygies(gens, TermOrder(weights))
+    # a smooth affine curve (tau = 0) takes the Koszul route, and its rows
+    # are those of the augmented run
+    with augmented_runs() as runs:
+        rows = syzygies(gens, TermOrder(weights))
+    assert rows == augmented_syzygies(gens, TermOrder(weights))
+    assert len(runs) == (0 if generates_one(gens) else 1)
 
 
 # -- drawn inputs over Q and Q(i), rank 1 and rank 2 -----------------------------
@@ -118,6 +157,7 @@ def test_drawn_inputs_match_oracle(case):
     gb, ref = assert_same_basis(gens, order)
     assert_same_normal_form(gb, ref, gens, probe)
     assert syzygies(gens, order) == oracle.syzygies(gens, order)
+    assert syzygies(gens, order) == augmented_syzygies(gens, order)
     result = membership(probe, gens, order)
     assert result.contained == ref.normal_form(probe).is_zero()
     if result.contained:
@@ -138,6 +178,85 @@ def test_division_by_f_matches_principal_basis(case):
     ref_rem, (ref_cof,) = ref.normal_form(p, track_cofactors=True)
     assert rem == ref_rem.components[0]
     assert quotient == ref_cof * ref.transform[0][0]
+
+
+# -- the Koszul route of syzygies against the augmented run -------------------
+
+@st.composite
+def rank_one_inputs(draw):
+    """s = 2..4 polynomials; with ``unit`` the last one is c plus a
+    combination of the others, c a nonzero constant, so they generate (1)."""
+    field = draw(st.sampled_from([QQ, GAUSS]))
+    s = draw(st.integers(2, 4))
+    gens = [draw(polys(field)) for _ in range(s)]
+    unit = draw(st.booleans())
+    if unit:
+        c = Polynomial.constant(draw(st.sampled_from([1, -2, 3])), field)
+        for g in gens[:-1]:
+            c = c + draw(polys(field)) * g
+        gens[-1] = c
+    return gens, TermOrder(draw(st.sampled_from(WEIGHTS[:3]))), unit
+
+
+@settings(max_examples=120, deadline=None)
+@given(rank_one_inputs())
+def test_koszul_route_matches_augmented_run(case):
+    gens, order, unit = case
+    with augmented_runs() as runs:
+        rows = syzygies(gens, order)
+    assert rows == augmented_syzygies(gens, order)
+    assert_field_scalars(*rows)
+    assert len(runs) == (0 if generates_one(gens) else 1)
+    if unit:
+        assert not runs
+    for row in rows:
+        assert recombine(row.components, gens).is_zero()
+
+
+@pytest.mark.parametrize("text,koszul", [
+    ("x*y-1", True), ("x^5+y^5-x^2*y^2+3*x^3*y-1", True),
+    ("x^5+y^5-x^2*y^2", False), ("x^7+y^7-x^2*y^2", False),
+    ("(x^3-1)*(y^3-1)*(x^3-y^3)", False)])
+def test_route_follows_the_unit_ideal(text, koszul):
+    f = parse_polynomial(text)
+    gens = [-f.diff("y"), f.diff("x"), f]
+    with augmented_runs() as runs:
+        rows = syzygies(gens)
+    assert rows == augmented_syzygies(gens)
+    assert len(runs) == (0 if koszul else 1)
+
+
+@pytest.mark.parametrize("koszul", [True, False])
+def test_zero_generator_on_either_route(koszul):
+    x, y = Polynomial.variable("x"), Polynomial.variable("y")
+    zero, one = Polynomial.zero(), Polynomial.constant(1)
+    gens = [x, zero, x + one if koszul else y]
+    with augmented_runs() as runs:
+        rows = syzygies(gens)
+    assert rows == augmented_syzygies(gens)
+    assert len(runs) == (0 if koszul else 1)
+    # the zero generator's own unit vector is a relation of degree 0
+    assert ModuleVector((zero, one, zero)) in rows
+
+
+def test_all_zero_generators_take_the_augmented_run():
+    zero, one = Polynomial.zero(), Polynomial.constant(1)
+    with augmented_runs() as runs:
+        rows = syzygies([zero, zero])
+    assert rows == [ModuleVector((zero, one)), ModuleVector((one, zero))]
+    assert len(runs) == 1
+
+
+@pytest.mark.parametrize("n", [6, 9])
+def test_deformed_sextic_and_nonic_finish(n):
+    f = parse_polynomial(f"x^{n}+y^{n}-x^2*y^2+3*x^3*y-1")
+    fx, fy = f.diff("x"), f.diff("y")
+    for p, q, c in (row.components for row in syzygies([-fy, fx, f])):
+        assert (q * fx - p * fy + c * f).is_zero()
+    raw = syzygy_generators(f)
+    assert len(raw) == 3
+    assert verify_generation(trivial_forms(f), raw).generates
+    assert verify_generation(raw, trivial_forms(f)).generates
 
 
 # -- module membership against sympy ---------------------------------------------

@@ -278,7 +278,8 @@ def test_form_arithmetic_rejects_other_operands():
     with pytest.raises(RankMismatch):
         w - ModuleVector((P,))
     assert w.__mul__("x") is NotImplemented
-    for form in (w, OneForm.zero()):
+    z = Polynomial.zero(QQ)
+    for form in (w, OneForm(z, z)):
         with pytest.raises(TypeError):
             form * "x"
         with pytest.raises(TypeError):
