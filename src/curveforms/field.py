@@ -1,12 +1,16 @@
 """Exact scalars: rationals and simple algebraic extensions Q[z]/(m(z)).
 
 Coefficients are plain `mpq` values over the rationals and `ExtElement`
-wrappers over an extension; both support the usual arithmetic operators.
-Only the Groebner engine tells them apart: over Q it reduces integer vectors.
+values over an extension; both support the usual arithmetic operators.  An
+ExtElement is coded as integer numerators over one denominator, and the
+Groebner engine reduces vectors of those numerators, as it reduces integer
+vectors over Q.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
+from operator import add, sub
 from typing import Sequence, Union
 
 try:
@@ -14,7 +18,7 @@ try:
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     from fractions import Fraction as Rational
 
-from .errors import DivisionByZero, FieldMismatch, InvalidInput
+from .errors import DivisionByZero, FieldMismatch, InvalidInput, MissingEmbedding
 
 RatLike = Union[int, str, "Rational"]
 
@@ -36,16 +40,7 @@ class RationalField:
     generator_name = None
     minpoly = None
 
-    @property
-    def zero(self):
-        return Rational(0)
-
-    @property
-    def one(self):
-        return Rational(1)
-
-    def from_int(self, n: int):
-        return Rational(n)
+    zero, one = Rational(0), Rational(1)
 
     def from_rational(self, r):
         if isinstance(r, Rational):
@@ -54,6 +49,8 @@ class RationalField:
         if num is not None:
             return Rational(int(num), int(r.denominator))
         return Rational(r)
+
+    from_int = from_rational
 
     def scalar(self, coeffs: Sequence[RatLike]):
         if len(coeffs) != 1:
@@ -121,45 +118,52 @@ def format_univariate(coeffs, var: str = "t", field: Field = QQ) -> str:
 
 
 class ExtElement:
-    """Element of Q[z]/(m(z)): a fixed-length tuple of rational coordinates."""
+    """Element of Q[z]/(m(z)): int numerators ``nums`` on 1, w, .., w^(n-1)
+    (see NumberField) over one positive ``den``, in lowest terms; ``coeffs``
+    is the read-only view of the rational coordinates on 1, z, .., z^(n-1)."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "nums", "den")
 
-    def __init__(self, field: "NumberField", coeffs):
-        self.field = field
-        self.coeffs = tuple(coeffs)
+    def __init__(self, field: "NumberField", nums, den: int = 1):
+        self.field, self.nums, self.den = field, tuple(nums), den
+
+    @property
+    def coeffs(self):
+        scale, den = self.field.scale, self.den
+        return tuple(Rational(x * scale ** k, den) for k, x in enumerate(self.nums))
 
     def _coerce(self, other):
         if isinstance(other, ExtElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch("extension elements over different fields")
             return other
         if isinstance(other, (int, Rational)):
             return self.field.from_rational(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self op other for op in (add, sub), over one denominator."""
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return ExtElement(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        d, e = self.den, o.den
+        return self.field.element(
+            [op(a * e, b * d) for a, b in zip(self.nums, o.nums)], d * e)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ExtElement(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
+        diff = self._combine(other, sub)
+        return diff if diff is NotImplemented else -diff
 
     def __neg__(self):
-        return ExtElement(self.field, tuple(-a for a in self.coeffs))
+        return ExtElement(self.field, [-a for a in self.nums], self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -176,16 +180,12 @@ class ExtElement:
         return self.field._mul(self, self.field.inv(o))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o / self
+        return self.field.inv(self) * other
 
     def __pow__(self, n: int):
         if n < 0:
             return self.field.inv(self) ** (-n)
-        result = self.field.one
-        base = self
+        result, base = self.field.one, self
         while n:
             if n & 1:
                 result = result * base
@@ -195,23 +195,27 @@ class ExtElement:
 
     def __eq__(self, other):
         if isinstance(other, ExtElement):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return (self.nums == other.nums and self.den == other.den
+                    and (self.field is other.field or self.field == other.field))
         if isinstance(other, (int, Rational)):
-            return self.coeffs[0] == other and all(c == 0 for c in self.coeffs[1:])
+            return (self.nums[0] == other.numerator and self.den == other.denominator
+                    and not any(self.nums[1:]))
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.coeffs)
+    def __hash__(self):  # a rational constant hashes like the rational it equals
+        return hash(self.coeffs if any(self.nums[1:]) else self.coeffs[0])
 
     def __bool__(self):
-        return any(c != 0 for c in self.coeffs)
+        return any(self.nums)
 
     def __repr__(self):
         return self.field.format_scalar(self)
 
 
 class NumberField:
-    """Q[z]/(m(z)) for a monic squarefree m of degree >= 2 over Q."""
+    """Q[z]/(m(z)) for a monic squarefree m of degree >= 2 over Q.  Elements
+    are coded on the powers of w = scale*z, scale the lcm of the denominators
+    of m, so w is integral: its minimal polynomial is scale^n * m(w/scale)."""
 
     kind = "extension"
 
@@ -226,50 +230,47 @@ class NumberField:
         if m.gcd(m.derivative()).degree() != 0:
             raise InvalidInput("minimal polynomial must be squarefree")
         self.minpoly = tuple(coeffs)
-        self.degree = len(coeffs) - 1
+        n = self.degree = len(coeffs) - 1
         self.generator_name = generator_name
-        # powers z^(degree+k) reduced mod m, for products of degree <= 2*degree-2
-        self._high_powers = []
-        current = [-c for c in coeffs[:-1]]
-        for _ in range(self.degree - 1):
-            self._high_powers.append(tuple(current))
-            current = [Rational(0)] + current
-            lead = current.pop()
-            if lead != 0:
-                for i in range(self.degree):
-                    current[i] -= lead * coeffs[i]
+        self.scale = lcm(*(int(c.denominator) for c in coeffs))
+        mw = [int(c * self.scale ** (n - k)) for k, c in enumerate(coeffs)]
+        # w^(n+k) reduced mod that polynomial, for products of degree <= 2n-2
+        self._rows, current = [], [-c for c in mw[:-1]]
+        for _ in range(n - 1):
+            self._rows.append(current)
+            lead, current = current[-1], [0] + current[:-1]
+            current = [c - lead * a for c, a in zip(current, mw)]
+        self.zero = ExtElement(self, (0,) * n)
+        self.one = ExtElement(self, (1,) + (0,) * (n - 1))
+        self.generator = self.element((0, 1) + (0,) * (n - 2), self.scale)
 
-    @property
-    def zero(self):
-        return ExtElement(self, (Rational(0),) * self.degree)
-
-    @property
-    def one(self):
-        return ExtElement(self, (Rational(1),) + (Rational(0),) * (self.degree - 1))
-
-    @property
-    def generator(self):
-        c = [Rational(0)] * self.degree
-        c[1] = Rational(1)
-        return ExtElement(self, c)
-
-    def from_int(self, n: int):
-        return self.from_rational(Rational(n))
+    def element(self, nums, den: int = 1) -> ExtElement:
+        """nums/den, on the basis of the powers of w, in lowest terms."""
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        if g != 1:
+            nums, den = [a // g for a in nums], den // g
+        return ExtElement(self, nums, den)
 
     def from_rational(self, r):
         if isinstance(r, ExtElement):
             if r.field != self:
                 raise FieldMismatch("element of a different extension")
             return r
-        return ExtElement(self, (QQ.from_rational(r),)
-                          + (Rational(0),) * (self.degree - 1))
+        if not isinstance(r, (int, Rational)):
+            r = QQ.from_rational(r)
+        return ExtElement(self, (int(r.numerator),) + self.zero.nums[1:],
+                          int(r.denominator))
+
+    from_int = from_rational
 
     def scalar(self, coeffs: Sequence[RatLike]):
-        c = [Rational(v) for v in coeffs]
-        if len(c) > self.degree:
+        """The element with these rational coordinates on 1, z, .., z^(n-1)."""
+        if len(coeffs) > self.degree:
             raise FieldMismatch("too many coordinates for this extension")
-        c += [Rational(0)] * (self.degree - len(c))
-        return ExtElement(self, c)
+        c = [Rational(v) / self.scale ** k for k, v in enumerate(coeffs)]
+        den = lcm(*(int(x.denominator) for x in c))
+        return ExtElement(self, [int(x * den) for x in c]
+                          + [0] * (self.degree - len(c)), den)
 
     def coeffs(self, a: ExtElement):
         return a.coeffs
@@ -277,22 +278,23 @@ class NumberField:
     def is_zero(self, a) -> bool:
         return not a
 
-    def _mul(self, a: ExtElement, b: ExtElement) -> ExtElement:
+    def mul_ints(self, a, b) -> tuple:
+        """Product of two integer numerator tuples: integral, as w is."""
         n = self.degree
-        prod = [Rational(0)] * (2 * n - 1)
-        for i, ai in enumerate(a.coeffs):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b.coeffs):
-                if bj != 0:
-                    prod[i + j] += ai * bj
+        prod = [0] * (2 * n - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
         out = prod[:n]
-        for k in range(n, 2 * n - 1):
-            if prod[k] != 0:
-                red = self._high_powers[k - n]
-                for i in range(n):
-                    out[i] += prod[k] * red[i]
-        return ExtElement(self, out)
+        for row, c in zip(self._rows, prod[n:]):
+            if c:
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        return tuple(out)
+
+    def _mul(self, a: ExtElement, b: ExtElement) -> ExtElement:
+        return self.element(self.mul_ints(a.nums, b.nums), a.den * b.den)
 
     def inv(self, a: ExtElement) -> ExtElement:
         if not a:
@@ -307,13 +309,11 @@ class NumberField:
         if r1.is_zero():
             raise DivisionByZero(
                 "non-invertible element; the minimal polynomial is reducible")
-        u = (u1 * (1 / r1.coeffs[0])).coeffs
-        return ExtElement(self, u + (Rational(0),) * (self.degree - len(u)))
+        return self.scalar((u1 * (1 / r1.coeffs[0])).coeffs)
 
     def embed_float(self, a: ExtElement, embedding=None) -> float:
-        from .errors import MissingEmbedding
         if embedding is None:
-            if all(c == 0 for c in a.coeffs[1:]):
+            if not any(a.nums[1:]):
                 return float(a.coeffs[0])
             raise MissingEmbedding(
                 "a numeric value for the generator is required")

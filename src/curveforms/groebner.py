@@ -12,12 +12,13 @@ the reduced basis of the Koszul rows, which carry no Bezout cofactors.
 
 Terms are packed: ModuleOrder.key codes a term (pos, i, j) as one int whose
 integer order is the module order, so a leading term is a plain max() and
-multiplying by a monomial adds a constant to every code.  Over Q every
-vector in the engine is a primitive integer vector with a positive leading
-coefficient and a reduction step is fraction-free, v <- a*v - b*m*g with the
-gcd cofactors (a, b) of the two leading coefficients; over an extension the
-vectors stay monic and the step is v <- v - c*m*g.  One loop serves both.
-Monic vectors in the field's scalars appear only at the public boundary.
+multiplying by a monomial adds a constant to every code.  Engine vectors are
+integral, with an int per term over Q and an int tuple of the field's integer
+coding over an extension, and a reduction step is fraction-free,
+v <- a*v - b*m*g with the gcd cofactors (a, b) of the two leading
+coefficients; a normalized leading coefficient is a positive rational
+integer, so a is an int.  One loop serves both, with the field's helpers
+chosen once per run.  Monic vectors appear only at the public boundary.
 
 _normal_form_core does every reduction.  Every Buchberger and syzygy run and
 GroebnerBasis.normal_form look it up as a module global at call time, and
@@ -33,10 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm
+from operator import sub
+from types import SimpleNamespace
 from typing import Optional
 
 from .errors import InvalidInput, RankMismatch
-from .field import NumberField, Rational, check_same_field
+from .field import ExtElement, Rational, check_same_field
 from .poly import ModuleVector, Polynomial, TermOrder
 
 
@@ -105,43 +108,19 @@ def _core_vec(core, rank, field, start: int = 0) -> ModuleVector:
     return ModuleVector(tuple(Polynomial(field, t) for t in comp_terms))
 
 
-def _integral(core, field):
-    """(vector, scale) with core == scale * vector; over Q the vector is a
-    primitive integer vector with a positive leading coefficient."""
-    if isinstance(field, NumberField) or not core:
-        return core, field.one
+def _integral(core):
+    """(vector, scale) with core == scale * vector, a primitive integer vector."""
     den = lcm(*(int(c.denominator) for c in core.values()))
     ints = {t: int(c.numerator) * (den // int(c.denominator))
             for t, c in core.items()}
-    g = gcd(*ints.values()) if ints[max(ints)] > 0 else -gcd(*ints.values())
+    g = gcd(*ints.values()) or 1
     return {t: c // g for t, c in ints.items()}, Rational(g, den)
 
 
-def _times(d, s, field):
-    """d scaled by s; over Q this also turns the engine's ints into Rationals."""
-    if s == 1 and isinstance(field, NumberField):
-        return d
-    return {k: c * s for k, c in d.items()}
-
-
-def _public(core, lt, field):
-    """The monic multiple of an engine vector, in the field's scalars."""
-    if isinstance(field, NumberField):
-        return core  # already monic
-    return {t: Rational(c, core[lt]) for t, c in core.items()}
-
-
 def _normalized(v, lt):
-    """Primitive with a positive leading coefficient over the integers,
-    monic over an extension."""
-    lc = v[lt]
-    if isinstance(lc, int):
-        g = gcd(*v.values()) if lc > 0 else -gcd(*v.values())
-        return v if g == 1 else {t: c // g for t, c in v.items()}
-    if lc == 1:
-        return v
-    inv = 1 / lc
-    return {t: c * inv for t, c in v.items()}
+    """Primitive with a positive leading coefficient."""
+    g = gcd(*v.values()) if v[lt] > 0 else -gcd(*v.values())
+    return v if g == 1 else {t: c // g for t, c in v.items()}
 
 
 def _cross(c, d):
@@ -173,22 +152,85 @@ def _subtract(v, b, g, lead, shift):
                 del v[s]
 
 
-def _normal_form_core(vec, basis, lts, key=None, track=False):
-    """Divide vec by the basis (leading codes lts): (remainder, None), or with
-    track (remainder, (mult, cofactors)) where cofactors are monomial dicts,
-    mult a positive integer and
+# The engine's scalars over Q: ints.  A normalized vector is primitive with a
+# positive leading coefficient, which ``lead`` reads as an int.
+_INTEGERS = SimpleNamespace(
+    encode=_integral, normalized=_normalized, cross=_cross, subtract=_subtract,
+    decode=lambda d, s: {k: Rational(c * s.numerator, s.denominator) for k, c in d.items()},
+    lead=lambda c: c, scaled=lambda d, a: {s: c * a for s, c in d.items()},
+    divided=lambda d, g: {s: c // g for s, c in d.items()},
+    content=lambda mult, dicts: gcd(mult, *(c for d in dicts for c in d.values())))
 
-        mult * vec == remainder + sum(cofactors[k][m] * m * basis[k]).
 
+def _coding(field):
+    """The engine's scalars for field: over Q[z]/(m) the int tuples
+    ExtElement.nums; normalized scales a vector so its lc is a positive int."""
+    if field.degree == 1:
+        return _INTEGERS
+    mul, zero = field.mul_ints, field.zero.nums
+
+    def content(mult, dicts):
+        return gcd(mult, *(x for d in dicts for c in d.values() for x in c))
+
+    def divided(d, g):
+        return d if g == 1 else {s: tuple(x // g for x in c) for s, c in d.items()}
+
+    def encode(core):
+        den = lcm(*(c.den for c in core.values()))
+        ints = {t: tuple(x * (den // c.den) for x in c.nums) for t, c in core.items()}
+        g = content(0, [ints]) or 1
+        return divided(ints, g), Rational(g, den)
+
+    def normalized(v, lt):
+        if any(v[lt][1:]):
+            u = field.inv(ExtElement(field, v[lt])).nums
+            v = {t: mul(u, c) for t, c in v.items()}
+        g = content(0, [v])
+        return divided(v, g if v[lt][0] > 0 else -g)
+
+    def cross(c, d):
+        g = gcd(d[0], *c)
+        return d[0] // g, tuple(x // g for x in c)
+
+    def subtract(v, b, g, lead, shift):
+        for s, c in g.items():
+            if s != lead:
+                x = tuple(map(sub, v.pop(s + shift, zero), mul(b, c)))
+                if any(x):
+                    v[s + shift] = x
+
+    return SimpleNamespace(
+        encode=encode, normalized=normalized, cross=cross, subtract=subtract,
+        content=content, divided=divided, lead=lambda c: c[0],
+        decode=lambda d, s: {k: ExtElement(field, c) * s for k, c in d.items()},
+        scaled=lambda d, a: {s: tuple(x * a for x in c) for s, c in d.items()})
+
+
+def _public(core, lt, coding):
+    """The monic multiple of a normalized engine vector, in field scalars."""
+    return coding.decode(core, Rational(1, coding.lead(core[lt])))
+
+
+def _normal_form_core(vec, basis, lts, key=None, track=False, coding=_INTEGERS):
+    """Divide vec by the basis (leading codes lts): (remainder, (mult, cof))
+    with mult a positive integer and, with track, cof the monomial dicts
+    (else None) such that
+
+        mult * vec == remainder + sum(cof[k][m] * m * basis[k]).
+
+    With track None only the remainder counts, up to a positive factor.
     Each step cancels the leading term of v against the first basis element
-    whose leading term divides it, v <- a*v - b*m*g with (a, b) from _cross.
-    Content is removed after every few steps that scaled v.  With ``key``
-    the vectors are keyed by (pos, i, j), as _vec_core builds them, and lts
+    whose leading term divides it, v <- a*v - b*m*g with (a, b) from
+    coding.cross.  After every few steps that scaled v its content is
+    removed: all of it with track None, else the part shared with mult.
+    The vectors hold the scalars of ``coding``.  With
+    ``key`` they are keyed by (pos, i, j), as _vec_core builds them, and lts
     are such tuples; they are packed with it first.
     """
     if key is not None:
         vec, basis = _packed(vec, key), [_packed(g, key) for g in basis]
         lts = [key(t) for t in lts]
+    cross, subtract, scaled = coding.cross, coding.subtract, coding.scaled
     heads = [_unpack(t) for t in lts]
     v, rem, mult, grown = dict(vec), {}, 1, 0
     cof = [{} for _ in basis] if track else []
@@ -201,31 +243,28 @@ def _normal_form_core(vec, basis, lts, key=None, track=False):
         else:
             rem[t] = v.pop(t)
             continue
-        a, b = _cross(v.pop(t), basis[k][lts[k]])
+        a, b = cross(v.pop(t), basis[k][lts[k]])
         if a != 1:
-            v, rem, *cof = ({s: c * a for s, c in d.items()} for d in (v, rem, *cof))
+            v, rem, *cof = (scaled(d, a) for d in (v, rem, *cof))
             mult, grown = mult * a, grown + 1
-        _subtract(v, b, basis[k], lts[k], t - lts[k])
-        if track:
-            m = (i - gi, j - gj)
-            cof[k][m] = cof[k].get(m, 0) + b
+        subtract(v, b, basis[k], lts[k], t - lts[k])
+        if track:  # t only falls, so each (k, m) comes once
+            cof[k][(i - gi, j - gj)] = b
         if grown > 3:
-            div = gcd(mult if track else 0,
-                      *(c for d in (v, rem, *cof) for c in d.values()))
+            div = coding.content(0 if track is None else mult, (v, rem, *cof))
             if div > 1:
-                v, rem, *cof = ({s: c // div for s, c in d.items()}
-                                for d in (v, rem, *cof))
+                v, rem, *cof = (coding.divided(d, div) for d in (v, rem, *cof))
                 mult //= div
             grown = 0
     if key is not None:
         rem = {_unpack(t): c for t, c in rem.items()}
-    return rem, ((mult, cof) if track else None)
+    return rem, (mult, cof if track else None)
 
 
-def _spair_core(g1, lt1, g2, lt2, key=None):
-    """S-vector a*m1*g1 - b*m2*g2, (a, b) from _cross, of two vectors whose
-    leading terms lt1, lt2 (tuples) lie in one position.  The vectors are
-    packed with ``key``; without it they are keyed by (pos, i, j), as
+def _spair_core(g1, lt1, g2, lt2, key=None, coding=_INTEGERS):
+    """S-vector a*m1*g1 - b*m2*g2, (a, b) from coding.cross, of two vectors
+    whose leading terms lt1, lt2 (tuples) lie in one position.  The vectors
+    are packed with ``key``; without it they are keyed by (pos, i, j), as
     _vec_core builds them, and any packing serves: an S-vector does not
     depend on the order."""
     tuples = key is None
@@ -234,16 +273,16 @@ def _spair_core(g1, lt1, g2, lt2, key=None):
         g1, g2 = _packed(g1, key), _packed(g2, key)
     t1, t2 = key(lt1), key(lt2)
     lcm_code = key((lt1[0], max(lt1[1], lt2[1]), max(lt1[2], lt2[2])))
-    a, b = _cross(g1[t1], g2[t2])
-    out = {s + lcm_code - t1: c if a == 1 else a * c
-           for s, c in g1.items() if s != t1}
-    _subtract(out, b, g2, t2, lcm_code - t2)
+    a, b = coding.cross(g1[t1], g2[t2])
+    out = {s + lcm_code - t1: c for s, c in g1.items() if s != t1}
+    out = out if a == 1 else coding.scaled(out, a)
+    coding.subtract(out, b, g2, t2, lcm_code - t2)
     return {_unpack(t): c for t, c in out.items()} if tuples else out
 
 
-def _run_buchberger(seeds, order: ModuleOrder):
+def _run_buchberger(seeds, order: ModuleOrder, coding):
     """Reduced Groebner basis of the module generated by the seed vectors
-    (packed engine vectors, see _integral).
+    (engine vectors in the scalars of ``coding``, see its encode).
 
     Returns a list of (vector, leading code), normalized, sorted by leading
     term ascending.  Normal selection strategy; deterministic throughout.
@@ -293,17 +332,17 @@ def _run_buchberger(seeds, order: ModuleOrder):
         lts.append(new_lt)
 
     def insert(v):
-        rem, _ = _normal_form_core(v, G, codes)
+        rem, _ = _normal_form_core(v, G, codes, track=None, coding=coding)
         if rem:
             t = max(rem)
-            update(_normalized(rem, t), t)
+            update(coding.normalized(rem, t), t)
 
     for core in sorted(seeds, key=max):
         insert(core)
     while pairs:
         (i, j) = min(pairs, key=lambda p: (pairs[p][0], p))
         del pairs[(i, j)]
-        insert(_spair_core(G[i], lts[i], G[j], lts[j], keyf))
+        insert(_spair_core(G[i], lts[i], G[j], lts[j], keyf, coding))
 
     # minimalize: drop elements whose leading term another one divides
     kept = []
@@ -316,8 +355,8 @@ def _run_buchberger(seeds, order: ModuleOrder):
     # tail-reduce each element against all the others
     for k in range(len(basis)):
         rem, _ = _normal_form_core(basis[k], basis[:k] + basis[k + 1:],
-                                   bcodes[:k] + bcodes[k + 1:])
-        basis[k] = _normalized(rem, bcodes[k])
+                                   bcodes[:k] + bcodes[k + 1:], None, None, coding)
+        basis[k] = coding.normalized(rem, bcodes[k])
 
     return list(zip(basis, bcodes))
 
@@ -348,17 +387,14 @@ class GroebnerBasis:
         self.field = field
         self.rank = rank
         self.transform = transform
+        coding = self.coding = _coding(field)
         if cores is None:
             cores = []
             for g in self.generators:
-                core, scale = _integral(_vec_core(g, order.key), field)
-                t = max(core)
-                if isinstance(field, NumberField):  # made monic
-                    lam = 1 / core[t]
-                    core = _times(core, lam, field)
-                else:
-                    lam = 1 / scale
-                cores.append((core, t, lam))
+                public = _vec_core(g, order.key)
+                t = max(public)
+                core = coding.normalized(coding.encode(public)[0], t)
+                cores.append((core, t, field.inv(public[t]) * coding.lead(core[t])))
         self._cores = cores
 
     def __len__(self):
@@ -368,26 +404,25 @@ class GroebnerBasis:
         return [_unpack(t) for _, t, _ in self._cores]
 
     def _reduce(self, v, track):
-        """(scale, remainder, tracked data) of the engine vector v / scale."""
+        """(scale, remainder, (mult, cofactors)) of the engine vector v / scale."""
         v = ModuleVector.wrap(v)
         if v.rank != self.rank:
             raise RankMismatch(f"rank {v.rank} against a rank-{self.rank} basis")
-        core, scale = _integral(_vec_core(v, self.order.key), self.field)
+        core, scale = self.coding.encode(_vec_core(v, self.order.key))
         rem, tracked = _normal_form_core(
             core, [c for c, _, _ in self._cores], [t for _, t, _ in self._cores],
-            None, track)
+            None, track, self.coding)
         return scale, rem, tracked
 
     def normal_form(self, v, track_cofactors: bool = False):
         """Remainder of v; with tracking also the cofactors against the basis."""
-        scale, rem, (mult, cof) = self._reduce(v, True)
+        scale, rem, (mult, cof) = self._reduce(v, track_cofactors)
         s = scale if mult == 1 else scale / mult
-        remainder = _core_vec(_times(rem, s, self.field), self.rank, self.field)
+        remainder = _core_vec(self.coding.decode(rem, s), self.rank, self.field)
         if not track_cofactors:
             return remainder
-        return remainder, [
-            Polynomial(self.field, _times(d, lam if s == 1 else lam * s, self.field))
-            for d, (_, _, lam) in zip(cof, self._cores)]
+        return remainder, [Polynomial(self.field, self.coding.decode(d, lam * s))
+                           for d, (_, _, lam) in zip(cof, self._cores)]
 
     def reduces_to_zero(self, v) -> bool:
         _, rem, _ = self._reduce(v, False)
@@ -425,9 +460,9 @@ def _prepare(gens, order):
     return vecs, rank, field, order
 
 
-def _seeds(vecs, field, order):
+def _seeds(vecs, coding, order):
     """Engine vectors of the nonzero vecs."""
-    return [_integral(_vec_core(v, order.key), field)[0]
+    return [coding.encode(_vec_core(v, order.key))[0]
             for v in vecs if not v.is_zero()]
 
 
@@ -438,16 +473,17 @@ def buchberger(gens, order=None, track_cofactors: bool = False) -> GroebnerBasis
     basis[k] == sum(transform[k][i] * gens[i]) exactly.
     """
     vecs, rank, field, order = _prepare(gens, order)
+    coding = _coding(field)
     if not track_cofactors:
-        seeds = _seeds(vecs, field, order)
+        seeds = _seeds(vecs, coding, order)
         if not seeds:
             raise ValueError("all generators are zero")
-        rows = [(core, t, None) for core, t in _run_buchberger(seeds, order)]
+        rows = [(core, t, None) for core, t in _run_buchberger(seeds, order, coding)]
     else:
         rows, _ = _augmented_run(vecs, rank, field, order)
         order = order.restricted(rank)
-    gens_out = [_core_vec(_public(core, t, field), rank, field) for core, t, _ in rows]
-    cores = [(core, t, field.one * core[t]) for core, t, _ in rows]
+    gens_out = [_core_vec(_public(core, t, coding), rank, field) for core, t, _ in rows]
+    cores = [(core, t, Rational(coding.lead(core[t]))) for core, t, _ in rows]
     transform = [tags for _, _, tags in rows] if track_cofactors else None
     return GroebnerBasis(gens_out, order, field, rank, transform, cores)
 
@@ -462,19 +498,20 @@ def _augmented_run(vecs, rank, field, order):
     """
     s = len(vecs)
     aug_order = ModuleOrder(order.base, rank + s, elim=rank)
+    coding = _coding(field)
     seeds = []
     for k, v in enumerate(vecs):
         core = _vec_core(v, aug_order.key)
         core[aug_order.key((rank + k, 0, 0))] = field.one
-        seeds.append(_integral(core, field)[0])
+        seeds.append(coding.encode(core)[0])
     basis_rows, syzygy_rows = [], []
-    for core, lt in _run_buchberger(seeds, aug_order):
-        public = _public(core, lt, field)
+    for core, lt in _run_buchberger(seeds, aug_order, coding):
+        public = _public(core, lt, coding)
         if lt & _ELIM:
             # the first block; dropping the flag packs it for order.restricted
             first = {t - _ELIM: c for t, c in core.items() if t & _ELIM}
             tags = _core_vec(public, s, field, start=rank)
-            basis_rows.append((_normalized(first, lt - _ELIM), lt - _ELIM,
+            basis_rows.append((coding.normalized(first, lt - _ELIM), lt - _ELIM,
                                list(tags.components)))
         else:
             syzygy_rows.append(_core_vec(public, s, field, start=rank))
@@ -494,7 +531,8 @@ def syzygies(gens, order=None):
     """
     vecs, rank, field, order = _prepare(gens, order)
     if rank == 1:
-        unit = _run_buchberger(_seeds(vecs, field, order), order)
+        coding = _coding(field)
+        unit = _run_buchberger(_seeds(vecs, coding, order), order, coding)
         if len(unit) == 1 and _unpack(unit[0][1]) == (0, 0, 0):
             return _koszul_syzygies([v.components[0] for v in vecs], field, order)
     _, syz = _augmented_run(vecs, rank, field, order)
@@ -511,8 +549,10 @@ def _koszul_syzygies(polys, field, order):
         row = [zero] * s
         row[i], row[j] = polys[j], -polys[i]
         rows.append(ModuleVector(tuple(row)))
-    return [_core_vec(_public(core, t, field), s, field)
-            for core, t in _run_buchberger(_seeds(rows, field, syz_order), syz_order)]
+    coding = _coding(field)
+    seeds = _seeds(rows, coding, syz_order)
+    return [_core_vec(_public(core, t, coding), s, field)
+            for core, t in _run_buchberger(seeds, syz_order, coding)]
 
 
 def membership(v, gens, order=None) -> Membership:

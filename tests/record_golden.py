@@ -42,6 +42,9 @@ CASES = {
     "deformed5": ("x^5+y^5-x^2*y^2+3*x^3*y-1", (1, 1), None, False),
     # compound extension coefficients in f, the forms and the min. polynomial
     "smooth_qi": ("x^3+y^3+(2+z)*x*y-z", (1, 1), "z^2+1", False),
+    # a cubic field whose minimal polynomial has a non-integral coefficient
+    "quartic_cubic": ("x^4+(z^2-1)*y^4+z*x*y^2-x+1", (1, 1), "z^3+1/3*z-2",
+                      False),
 }
 
 

@@ -88,6 +88,15 @@ def test_reducible_minpoly_flagged_on_inversion():
         field.inv(bad)
 
 
+def test_rational_constants_hash_like_the_rationals_they_equal():
+    half = GAUSS.from_rational(rational(1, 2))
+    assert GAUSS.one == 1 and half == rational(1, 2)
+    assert hash(GAUSS.one) == hash(1) and hash(half) == hash(rational(1, 2))
+    assert len({GAUSS.one, 1}) == 1 and len({half, rational(1, 2)}) == 1
+    assert {rational(-3): "c"}[GAUSS.from_int(-3)] == "c"
+    assert hash(GAUSS.generator) == hash(GAUSS.scalar((0, 1)))
+
+
 @pytest.mark.parametrize("text,field", [
     ("5/6", QQ),
     ("-7", QQ),

@@ -1,12 +1,14 @@
 """The packed, fraction-free Groebner engine against the tuple-keyed rational
-kernel it replaced (tests/rational_oracle.py), and its module membership
-verdicts against sympy.
+kernel it replaced (tests/rational_oracle.py), over Q, Q(i) and a cubic field
+whose minimal polynomial is not integral, and its module membership verdicts
+against sympy.
 
 Reduced bases, transforms and syzygy rows are unique, and both kernels
 divide by the first basis element whose leading term divides, so every
 comparison is exact equality in the public types.
 """
 
+import inspect
 from contextlib import contextmanager
 
 import hypothesis.strategies as st
@@ -17,16 +19,21 @@ import rational_oracle as oracle
 from curveforms import (QQ, ModuleVector, OneForm, Polynomial, TermOrder,
                         buchberger, groebner, membership, parse_polynomial,
                         recombine, syzygies)
-from curveforms.field import ExtElement, Rational
+from curveforms.field import ExtElement, NumberField, Rational
 from curveforms.poly import field_from_minpoly
 from curveforms.tangent import (divide, syzygy_generators, trivial_forms,
                                 verify_generation)
 from test_milnor_oracle import CORPUS_CURVES
 
 GAUSS = field_from_minpoly("z^2+1")
+CUBIC = NumberField((-2, Rational(1, 3), 0, 1), "w")   # w^3+w/3-2
 WEIGHTS = [(1, 1), (2, 3), (3, 2), (1, 4)]
 CURVES = CORPUS_CURVES + [("x*(x-1)*(x+1)", (1, 1), None),
-                          ("x^5+y^5-x^2*y^2+3*x^3*y-1", (1, 1), None)]
+                          ("x^5+y^5-x^2*y^2+3*x^3*y-1", (1, 1), None),
+                          ("x^3+y^3+(2+z)*x*y-z", (1, 1), "z^2+1"),
+                          ("x^4+(z^2-1)*y^4+z*x*y^2-x+1", (1, 1), "z^3+1/3*z-2"),
+                          ("x^3-z*y^2+x*y", (1, 1), "z^3+1/3*z-2"),
+                          ("x^2+z*y^3", (3, 2), "z^3+1/3*z-2")]
 
 
 def _curve(text, minpoly):
@@ -119,17 +126,20 @@ def test_corpus_curve_matches_oracle(text, weights, minpoly):
     assert len(runs) == (0 if generates_one(gens) else 1)
 
 
-# -- drawn inputs over Q and Q(i), rank 1 and rank 2 -----------------------------
+# -- drawn inputs over Q, Q(i) and the cubic field, rank 1 and rank 2 ------------
+
+FIELDS = [QQ, GAUSS, CUBIC]
+
 
 @st.composite
 def polys(draw, field):
-    z = field.generator if field is GAUSS else None
     terms = {}
     for _ in range(draw(st.integers(0, 3))):
         mono = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
         c = field.from_rational(QQ.from_int(draw(st.integers(-4, 4))))
-        if z is not None and draw(st.booleans()):
-            c = c + z * draw(st.integers(-2, 2))
+        for k in range(1, field.degree):
+            if draw(st.booleans()):
+                c = c + field.generator ** k * draw(st.integers(-2, 2))
         if c:
             terms[mono] = c
     return Polynomial(field, terms)
@@ -137,7 +147,7 @@ def polys(draw, field):
 
 @st.composite
 def inputs(draw):
-    field = draw(st.sampled_from([QQ, GAUSS]))
+    field = draw(st.sampled_from(FIELDS))
     rank = draw(st.integers(1, 2))
     gens = []
     for _ in range(draw(st.integers(1, 3))):
@@ -150,7 +160,7 @@ def inputs(draw):
     return gens, TermOrder(draw(st.sampled_from(WEIGHTS))), probe
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(inputs())
 def test_drawn_inputs_match_oracle(case):
     gens, order, probe = case
@@ -164,8 +174,8 @@ def test_drawn_inputs_match_oracle(case):
         assert recombine(result.cofactors, gens) == probe
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([QQ, GAUSS]).flatmap(
+@settings(max_examples=90, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(
     lambda field: st.tuples(polys(field), polys(field))))
 def test_division_by_f_matches_principal_basis(case):
     p, f = case
@@ -180,13 +190,61 @@ def test_division_by_f_matches_principal_basis(case):
     assert quotient == ref_cof * ref.transform[0][0]
 
 
+# -- normal forms without cofactor tracking --------------------------------------
+
+@contextmanager
+def kernel_calls():
+    """Records the track argument of every kernel call made inside the block."""
+    original = groebner._normal_form_core
+    signature, tracks = inspect.signature(original), []
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        tracks.append(bound.arguments["track"])
+        return original(*args, **kwargs)
+    groebner._normal_form_core = recording
+    try:
+        yield tracks
+    finally:
+        groebner._normal_form_core = original
+
+
+def test_untracked_normal_form_tracks_no_cofactors():
+    f = parse_polynomial("x^3+y^3-x*y")
+    gb = buchberger([f.diff("x"), f.diff("y")])
+    with kernel_calls() as tracks:
+        gb.normal_form(f * f)
+        gb.reduces_to_zero(f)
+    assert tracks == [False, False]
+    with kernel_calls() as tracks:
+        gb.normal_form(f * f, track_cofactors=True)
+    assert tracks == [True]
+
+
+@settings(max_examples=80, deadline=None)
+@given(inputs())
+def test_tracked_and_untracked_remainders_agree(case):
+    gens, order, probe = case
+    rank, field = gens[0].rank, gens[0].field
+    single = groebner.GroebnerBasis(gens[:1], groebner.ModuleOrder(order, rank), field, rank)
+    for gb in (buchberger(gens, order), buchberger(gens, order, track_cofactors=True),
+               single):
+        rem = gb.normal_form(probe)
+        tracked, cof = gb.normal_form(probe, track_cofactors=True)
+        assert rem == tracked
+        assert_field_scalars(rem, *cof)
+        assert recombine(cof, gb.generators) + rem == probe
+        assert gb.reduces_to_zero(probe) == rem.is_zero()
+
+
 # -- the Koszul route of syzygies against the augmented run -------------------
 
 @st.composite
 def rank_one_inputs(draw):
     """s = 2..4 polynomials; with ``unit`` the last one is c plus a
     combination of the others, c a nonzero constant, so they generate (1)."""
-    field = draw(st.sampled_from([QQ, GAUSS]))
+    field = draw(st.sampled_from(FIELDS))
     s = draw(st.integers(2, 4))
     gens = [draw(polys(field)) for _ in range(s)]
     unit = draw(st.booleans())
@@ -198,7 +256,7 @@ def rank_one_inputs(draw):
     return gens, TermOrder(draw(st.sampled_from(WEIGHTS[:3]))), unit
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=180, deadline=None)
 @given(rank_one_inputs())
 def test_koszul_route_matches_augmented_run(case):
     gens, order, unit = case
