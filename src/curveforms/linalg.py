@@ -2,22 +2,25 @@
 
 Rank uses fraction-free (Bareiss) elimination; kernels come from reduced
 row echelon form.  `sequence_annihilator` finds the first linear dependence
-in a sequence of vectors by an incremental echelon solve; the Milnor layer
-feeds it the Krylov sequence [1], [f], [f^2], ... of its algebra.
-Univariate polynomials carry the squarefree-decomposition machinery.  No
-eigenvectors are ever computed.
+in a sequence of vectors by an incremental echelon solve over the field.
+Univariate polynomials carry the squarefree-decomposition machinery; their
+gcd runs on the Groebner engine's integer coding.  No eigenvectors are ever
+computed.
 
-`matrix_min_poly`, `UniPoly.eval_matrix` and `Matrix.__mul__` work on whole
-matrices and powers of them; the pipeline no longer calls them, and they
-are kept as the dense reference that the tests compare against.
+`sequence_annihilator`, `matrix_min_poly`, `UniPoly.eval_matrix` and
+`Matrix.__mul__` work over field scalars, on whole matrices and powers of
+them; the pipeline no longer calls them, and they are kept as the dense
+reference that the tests compare against.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from . import groebner
 from .errors import DivisionByZero, NotSquare, ZeroInput
 from .field import QQ, Field, check_same_field, format_univariate
+from .poly import TermOrder
 
 
 class Matrix:
@@ -44,13 +47,6 @@ class Matrix:
         for k in range(n):
             m.entries[k][k] = field.one
         return m
-
-    @classmethod
-    def from_columns(cls, field: Field, columns: Sequence[Sequence]) -> "Matrix":
-        if not columns:
-            return cls(field, [])
-        rows = len(columns[0])
-        return cls(field, [[col[r] for col in columns] for r in range(rows)])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -231,13 +227,7 @@ class UniPoly:
         return UniPoly(a, self.field)
 
     def __sub__(self, other):
-        check_same_field(self.field, other.field)
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        for k, c in enumerate(other.coeffs):
-            a[k] = a[k] - c
-        return UniPoly(a, self.field)
+        return self + -other
 
     def __neg__(self):
         return UniPoly([-c for c in self.coeffs], self.field)
@@ -288,10 +278,20 @@ class UniPoly:
         return q
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        """Monic gcd by primitive pseudo-remainders: t^k is the engine term
+        x^k, and the kernel's division by one normalized vector is a
+        pseudo-division with the content removed."""
+        check_same_field(self.field, other.field)
+        coding, key = groebner._coding(self.field), groebner.ModuleOrder(TermOrder()).key
+        a, b = (coding.encode({key((0, k, 0)): c for k, c in enumerate(p.coeffs) if c})[0]
+                for p in (self, other))
+        while b:
+            b = coding.normalized(b, max(b))
+            a, b = b, groebner._normal_form_core(a, [b], [max(b)], None, None, coding)[0]
+        if a:
+            a = groebner._public(coding.normalized(a, max(a)), max(a), coding)
+        return UniPoly([a.get(key((0, k, 0)), self.field.zero)
+                        for k in range(len(self.coeffs) + len(other.coeffs))], self.field)
 
     def derivative(self) -> "UniPoly":
         return UniPoly([self.coeffs[k] * k for k in range(1, len(self.coeffs))],

@@ -45,6 +45,12 @@ CASES = {
     # a cubic field whose minimal polynomial has a non-integral coefficient
     "quartic_cubic": ("x^4+(z^2-1)*y^4+z*x*y^2-x+1", (1, 1), "z^3+1/3*z-2",
                       False),
+    # a degree-9 minimal polynomial with 17-digit rational coefficients
+    "quartic9": ("x^4+3*y^4+x^2*y+2*x+2*y^3+3*y", (1, 1), None, False),
+    # tau = 1 over Q(i), so the report carries theta and omega
+    "quartic_qi": ("x^4+2*y^4+x^2-x*y^2+2*x*y-3*y^3", (1, 1), "z^2+1", False),
+    # mu = 36, a minimal polynomial of degree 26
+    "deformed7": ("x^7+y^7-x^2*y^2+3*x^3*y-1", (1, 1), None, False),
 }
 
 

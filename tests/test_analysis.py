@@ -119,18 +119,23 @@ def test_text_rendering_mentions_key_facts():
 def test_analyze_computes_tau_once(monkeypatch):
     f = parse_polynomial("x^5+y^5-x^2*y^2")
     ma = milnor.milnor_algebra(f)
-    tau_ideal = list(ma.gb.generators) + [ma.gb.normal_form(f)]
+    # quotient dimensions run the engine on the Jacobian basis's own vectors
+    # and the normalized vector of the added class
+    cores, normalized = [c for c, _, _ in ma.gb._cores], ma.gb.coding.normalized
+    f_vec = milnor._coded(ma, f)[0]
+    tau_seeds = cores + [normalized(f_vec, max(f_vec))]
     calls = []
-    original = milnor.buchberger
+    original = milnor._run_buchberger
 
-    def counting(gens, *args, **kwargs):
-        calls.append(list(gens))
-        return original(gens, *args, **kwargs)
-    monkeypatch.setattr(milnor, "buchberger", counting)
+    def counting(seeds, *args, **kwargs):
+        calls.append(list(seeds))
+        return original(seeds, *args, **kwargs)
+    monkeypatch.setattr(milnor, "_run_buchberger", counting)
     rep = analyze(f)
     assert rep.tau == 10 and rep.kernel_condition is not None
-    # one run for <f_x, f_y, f>, shared by the report and kernel_condition
-    assert sum(gens == tau_ideal for gens in calls) == 1
+    # one run for <f_x, f_y, f>, shared by the report, the first rank at the
+    # root 0 and kernel_condition
+    assert sum(seeds == tau_seeds for seeds in calls) == 1
 
 
 def test_analyze_checks_tameness_once(monkeypatch):
