@@ -446,7 +446,7 @@ class GroebnerBasis:
 def _prepare(gens, order):
     vecs = [ModuleVector.wrap(g) for g in gens]
     if not vecs:
-        raise ValueError("need at least one generator")
+        raise InvalidInput("need at least one generator")
     rank = vecs[0].rank
     for v in vecs[1:]:
         if v.rank != rank:
@@ -477,7 +477,7 @@ def buchberger(gens, order=None, track_cofactors: bool = False) -> GroebnerBasis
     if not track_cofactors:
         seeds = _seeds(vecs, coding, order)
         if not seeds:
-            raise ValueError("all generators are zero")
+            raise InvalidInput("all generators are zero")
         rows = [(core, t, None) for core, t in _run_buchberger(seeds, order, coding)]
     else:
         rows, _ = _augmented_run(vecs, rank, field, order)

@@ -7,6 +7,11 @@ that raw construction sit: the distinguished 1-form built from a kernel
 witness theta (f*theta = A*f_x + B*f_y gives -B dx + A dy), generation
 verification with certificates, greedy irredundant generating sets, and the
 Saito wedge test for freeness.
+
+Each constructed form is certified once, by the identity that builds it:
+a raw form by its relation row, the kernel form by df ^ omega = theta*f, and
+f dx, f dy, df by df ^ f dx = -f_y*f, df ^ f dy = f_x*f, df ^ df = 0.
+is_tangent checks forms from outside these constructors.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import (InvariantViolation, NotHomogeneous, NotInJacobian,
-                     NotSmooth, NotTangent, ZeroInput)
+from .errors import (InvalidInput, InvariantViolation, NotHomogeneous,
+                     NotInJacobian, NotSmooth, NotTangent, ZeroInput)
 from .field import Rational
 from .groebner import GroebnerBasis, ModuleOrder, buchberger, syzygies
 from .milnor import MilnorAlgebra
@@ -55,18 +60,10 @@ class GeneratorSet:
         return f"<{self.kind}: {body}>"
 
 
-def _checked(kind: str, forms, f: Polynomial) -> GeneratorSet:
-    for w in forms:
-        if not is_tangent(f, w):
-            raise InvariantViolation(
-                f"constructed form is not tangent: {format_one_form(w)}")
-    return GeneratorSet(kind, list(forms), f)
-
-
 def syzygy_generators(f: Polynomial, order=None) -> GeneratorSet:
     """Raw generating set of the full tangent module via relations among
-    (-f_y, f_x, f); the f-cofactor of each relation is verified exactly and
-    then discarded."""
+    (-f_y, f_x, f).  Each relation (p, q, c) is checked exactly, and
+    q*f_x - p*f_y + c*f = 0 certifies (p, q) tangent; c is discarded."""
     if f.is_constant():
         raise ZeroInput("need a non-constant polynomial")
     fx, fy = f.diff("x"), f.diff("y")
@@ -78,7 +75,7 @@ def syzygy_generators(f: Polynomial, order=None) -> GeneratorSet:
             raise InvariantViolation("relation does not certify tangency")
         if not (p.is_zero() and q.is_zero()):
             forms.append(OneForm(p, q))
-    return _checked("syzygy_raw", forms, f)
+    return GeneratorSet("syzygy_raw", forms, f)
 
 
 def trivial_forms(f: Polynomial):
@@ -90,13 +87,14 @@ def smooth_generators(f: Polynomial, curve_exponent: int) -> GeneratorSet:
     """For a smooth curve the trivial forms f dx, f dy, df generate."""
     if curve_exponent != 0:
         raise NotSmooth("0 is a critical value of f")
-    return _checked("trivial_smooth", trivial_forms(f), f)
+    return GeneratorSet("trivial_smooth", trivial_forms(f), f)
 
 
 def omega_from_theta(f: Polynomial, ma: MilnorAlgebra,
                      theta: Polynomial) -> OneForm:
     """The distinguished tangent form: write f*theta = A*f_x + B*f_y via
-    tracked division, then return -B dx + A dy."""
+    tracked division, then return omega = -B dx + A dy.  The cofactors are
+    checked exactly, df ^ omega = theta*f, which certifies omega tangent."""
     rem, cof = ma.gb.normal_form(f * theta, track_cofactors=True)
     if not rem.is_zero():
         raise NotInJacobian("f*theta does not reduce to zero; bad theta")
@@ -108,7 +106,8 @@ def omega_from_theta(f: Polynomial, ma: MilnorAlgebra,
 
 
 def four_generators(f: Polynomial, omega: OneForm) -> GeneratorSet:
-    return _checked("four_generator", trivial_forms(f) + [omega], f)
+    """f dx, f dy, df and the kernel form that omega_from_theta certified."""
+    return GeneratorSet("four_generator", trivial_forms(f) + [omega], f)
 
 
 @dataclass
@@ -171,8 +170,8 @@ class SaitoResult:
 def saito_check(pair: Sequence[OneForm], f: Polynomial) -> SaitoResult:
     """Freeness test: the pair generates freely iff its wedge is a nonzero
     constant multiple of f."""
-    if len(pair) != 2:
-        raise ValueError("the freeness test takes exactly two forms")
+    if len(pair) != 2 or not all(isinstance(w, OneForm) for w in pair):
+        raise InvalidInput("the freeness test takes exactly two forms")
     w0, winf = pair
     for w in (w0, winf):
         if not is_tangent(f, w):

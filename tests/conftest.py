@@ -76,3 +76,23 @@ def polynomials(draw, max_degree=3, max_terms=4, coeff_bound=5,
     if nonzero and p.is_zero():
         p = Polynomial(QQ, {(1, 0): QQ.one})
     return p
+
+
+@st.composite
+def tame_curves(draw, field):
+    """x^d + c*y^d plus up to four terms of lower degree, c != 0, so the top
+    form has the finite quotient K[x,y]/<x^(d-1), y^(d-1)>."""
+    small = st.integers(-3, 3)
+    degree = len(field.coeffs(field.one))
+
+    def scalar(nonzero=False):
+        coords = draw(st.lists(small, min_size=degree, max_size=degree)
+                      .filter(lambda c: any(c) or not nonzero))
+        return field.scalar(coords)
+
+    d = draw(st.sampled_from([3, 4]))
+    terms = {(d, 0): field.one, (0, d): scalar(nonzero=True)}
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, d - 1))
+        terms[(i, draw(st.integers(0, d - 1 - i)))] = scalar()
+    return Polynomial(field, terms)

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from curveforms import (FieldMismatch, Matrix, ModuleOrder, ModuleVector,
-                        NumberField, Polynomial, QQ, RankMismatch, TermOrder,
-                        buchberger, membership, parse_polynomial, recombine,
-                        syzygies)
+from curveforms import (FieldMismatch, InvalidInput, Matrix, ModuleOrder,
+                        ModuleVector, NumberField, Polynomial, QQ,
+                        RankMismatch, TermOrder, buchberger, membership,
+                        parse_polynomial, recombine, syzygies)
 from curveforms.groebner import _normal_form_core, _spair_core, _unpack, _vec_core
 from curveforms.milnor import standard_monomials
 
@@ -310,3 +310,19 @@ def test_packed_terms_follow_the_module_order():
             assert order.key((pos, i + 2, j + 1)) == order.key((pos, i, j)) + step
     with pytest.raises(ValueError):
         ModuleOrder(TermOrder()).key((0, 1 << 32, 0))
+
+
+def test_buchberger_rejects_no_generators():
+    with pytest.raises(InvalidInput):
+        buchberger([])
+
+
+def test_syzygies_reject_no_generators():
+    with pytest.raises(InvalidInput):
+        syzygies([])
+
+
+def test_buchberger_rejects_all_zero_generators():
+    zero = Polynomial.zero()
+    with pytest.raises(InvalidInput):
+        buchberger([zero, zero])

@@ -20,6 +20,7 @@ from curveforms import (QQ, Polynomial, UniPoly, Weights,
                         theta_polynomial, tjurina_number)
 from curveforms.poly import field_from_minpoly
 import dense_oracle as oracle
+from conftest import tame_curves
 from dense_oracle import dense_jordan_profile, dense_kernel_condition
 
 # (text, weights, minimal polynomial of the field); the Riccati curve
@@ -88,26 +89,6 @@ def test_corpus_curve_matches_dense(text, weights, minpoly):
 
 GAUSSIAN = field_from_minpoly("z^2+1")
 CUBIC = field_from_minpoly("z^3+1/3*z-2")
-
-
-@st.composite
-def tame_curves(draw, field):
-    """x^d + c*y^d plus up to four terms of lower degree, c != 0, so the top
-    form has the finite quotient K[x,y]/<x^(d-1), y^(d-1)>."""
-    small = st.integers(-3, 3)
-    degree = len(field.coeffs(field.one))
-
-    def scalar(nonzero=False):
-        coords = draw(st.lists(small, min_size=degree, max_size=degree)
-                      .filter(lambda c: any(c) or not nonzero))
-        return field.scalar(coords)
-
-    d = draw(st.sampled_from([3, 4]))
-    terms = {(d, 0): field.one, (0, d): scalar(nonzero=True)}
-    for _ in range(draw(st.integers(1, 4))):
-        i = draw(st.integers(0, d - 1))
-        terms[(i, draw(st.integers(0, d - 1 - i)))] = scalar()
-    return Polynomial(field, terms)
 
 
 @settings(max_examples=40, deadline=None)

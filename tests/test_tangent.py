@@ -1,10 +1,13 @@
 """Generating sets of the tangent-form module and the freeness test."""
 
 import pytest
+import hypothesis.strategies as st
+from hypothesis import example, given, settings
 
-from curveforms import (ModuleVector, NotHomogeneous, NotInJacobian, NotSmooth,
-                        NotTangent, OneForm, Polynomial, QQ, TermOrder,
-                        Weights, buchberger, exterior_derivative,
+from curveforms import (InvalidInput, InvariantViolation, ModuleVector,
+                        NotHomogeneous, NotInJacobian, NotSmooth, NotTangent,
+                        OneForm, Polynomial, QQ, TermOrder, Weights, analyze,
+                        buchberger, exponent, exterior_derivative,
                         field_from_minpoly, four_generators, is_tangent,
                         membership, milnor_algebra, min_poly,
                         minimal_generators, multiplication_operator,
@@ -13,6 +16,8 @@ from curveforms import (ModuleVector, NotHomogeneous, NotInJacobian, NotSmooth,
                         smooth_generators, syzygy_generators, tangency_defect,
                         theta_polynomial, trivial_forms, verify_generation,
                         wedge)
+from curveforms import cli, tangent
+from conftest import tame_curves
 
 
 def _p(text):
@@ -32,11 +37,90 @@ def test_tangency_defect():
     assert not tangency_defect(f, _form("1", "0")).is_zero()
 
 
-def test_syzygy_generators_are_tangent():
-    for text in ("x*y-1", ACAMPO, "x^3+y^3"):
-        f = _p(text)
-        for w in syzygy_generators(f).forms:
-            assert is_tangent(f, w)
+GAUSSIAN = field_from_minpoly("z^2+1")
+
+
+def _through_origin(f):
+    """f without its constant and linear terms: f = 0 is singular at 0."""
+    return Polynomial(f.field, {m: c for m, c in f.terms.items() if sum(m) >= 2})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([QQ, GAUSSIAN])
+       .flatmap(tame_curves)
+       .flatmap(lambda f: st.sampled_from([f, _through_origin(f)])))
+@example(_p("x*y-1"))
+@example(_p(ACAMPO))
+@example(_p("x^3+y^3"))
+def test_syzygy_generators_are_tangent(f):
+    # the constructors certify their forms by the identities that build
+    # them and nothing else, so tangency is checked here instead
+    fx, fy = f.diff("x"), f.diff("y")
+    df = exterior_derivative(f)
+    f_dx, f_dy, _ = trivial_forms(f)
+    assert wedge(df, f_dx).coeff == -fy * f
+    assert wedge(df, f_dy).coeff == fx * f
+    assert wedge(df, df).coeff.is_zero()
+    ma = milnor_algebra(f)
+    op = multiplication_operator(ma)
+    p = min_poly(op)
+    if exponent(p) == 0:
+        candidate = smooth_generators(f, 0)
+    else:
+        omega = omega_from_theta(f, ma, theta_polynomial(ma, op, p))
+        candidate = four_generators(f, omega)
+    for w in syzygy_generators(f).forms + candidate.forms:
+        assert is_tangent(f, w)
+
+
+def _corrupt_first_row(rows):
+    p, q, c = rows[0].components
+    return [ModuleVector((p + Polynomial.constant(1, p.field), q, c))] + rows[1:]
+
+
+def test_corrupted_relation_is_an_invariant_violation(monkeypatch, capsys):
+    original = tangent.syzygies
+    monkeypatch.setattr(tangent, "syzygies",
+                        lambda *args: _corrupt_first_row(original(*args)))
+    with pytest.raises(InvariantViolation):
+        syzygy_generators(_p(ACAMPO))
+    # an engine fault, not bad input: exit 3
+    assert cli.main(["analyze", "-f", ACAMPO]) == 3
+    assert "relation does not certify tangency" in capsys.readouterr().err
+
+
+def test_corrupted_kernel_cofactor_is_an_invariant_violation(monkeypatch):
+    f = _p(ACAMPO)
+    ma = milnor_algebra(f)
+    op = multiplication_operator(ma)
+    theta = theta_polynomial(ma, op)
+    original = ma.gb.cofactors_on_inputs
+
+    def corrupted(cof):
+        a, b = original(cof)
+        return [a + Polynomial.variable("x"), b]
+    monkeypatch.setattr(ma.gb, "cofactors_on_inputs", corrupted)
+    with pytest.raises(InvariantViolation):
+        omega_from_theta(f, ma, theta)
+
+
+@pytest.mark.parametrize("text, minpoly, count", [
+    (ACAMPO, None, 0),
+    ("x*y-1", None, 2),  # both from saito_check on the minimal pair
+    ("x^4+2*y^4+x^2-x*y^2+2*x*y-3*y^3", "z^2+1", 0),
+])
+def test_analyze_checks_no_constructed_form_twice(monkeypatch, text, minpoly,
+                                                  count):
+    fld = field_from_minpoly(minpoly) if minpoly else QQ
+    calls = []
+    original = tangent.is_tangent
+
+    def recording(f, w):
+        calls.append(w)
+        return original(f, w)
+    monkeypatch.setattr(tangent, "is_tangent", recording)
+    analyze(parse_polynomial(text, fld))
+    assert len(calls) == count
 
 
 def test_circle_raw_contains_known_free_pair():
@@ -120,6 +204,21 @@ def test_saito_degenerate_pair():
     f = _p("x*y-1")
     df = exterior_derivative(f)
     assert not saito_check([df, df], f).free
+
+
+def test_saito_rejects_a_pair_that_is_not_two_forms():
+    f = _p("x*y-1")
+    w = exterior_derivative(f)
+    with pytest.raises(InvalidInput):
+        saito_check([w, w, w], f)
+    with pytest.raises(InvalidInput):
+        saito_check([f, f], f)
+
+
+def test_verify_generation_rejects_an_empty_candidate():
+    f = _p("x*y-1")
+    with pytest.raises(InvalidInput):
+        verify_generation([], [exterior_derivative(f)])
 
 
 def test_saito_requires_tangency():
