@@ -231,10 +231,9 @@ def analyze(f: Polynomial, weights: Weights = Weights(1, 1), *,
         theta = milnor.theta_polynomial(ma, op, p)
         report.theta = theta
         report.kernel_condition = milnor.kernel_condition(ma, op, theta)
-        omega = tangent.omega_from_theta(f, ma, theta)
-        report.omega = omega
-        candidate = tangent.four_generators(f, omega)
+        candidate = tangent.four_generators(f, ma, theta)
         report.four = candidate.forms
+        report.omega = candidate.forms[-1]
     timings["forms"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -144,8 +144,7 @@ def run_quasihomog(rec):
         theta = milnor.theta_polynomial(ma, op, p)
         rec.check(f"{tag}_kernel_condition",
                   milnor.kernel_condition(ma, op, theta))
-        omega = tangent.omega_from_theta(g, ma, theta)
-        four = tangent.four_generators(g, omega)
+        four = tangent.four_generators(g, ma, theta)
         rec.check(f"{tag}_four_generates",
                   tangent.verify_generation(four, raw).generates)
         if text == "x^3+y^3":

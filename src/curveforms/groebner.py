@@ -32,6 +32,7 @@ criterion is only valid for ideals, so it is applied solely in rank 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 from operator import sub
@@ -378,18 +379,18 @@ class Membership:
 class GroebnerBasis:
     """Reduced basis plus (optionally) the transform back to the inputs.
 
-    ``cores`` holds the engine's form of each generator: (vector, leading
-    code, lam) with vector == lam * generator."""
+    ``_cores`` holds the engine's form of each generator: (vector, leading
+    code, lam) with vector == lam * generator.  Everything but
+    ``generators`` works on them; those are decoded on first read."""
 
     def __init__(self, generators, order, field, rank, transform=None, cores=None):
-        self.generators = list(generators)
         self.order = order
         self.field = field
         self.rank = rank
         self.transform = transform
         coding = self.coding = _coding(field)
         if cores is None:
-            cores = []
+            self.generators, cores = list(generators), []
             for g in self.generators:
                 public = _vec_core(g, order.key)
                 t = max(public)
@@ -397,8 +398,13 @@ class GroebnerBasis:
                 cores.append((core, t, field.inv(public[t]) * coding.lead(core[t])))
         self._cores = cores
 
+    @cached_property
+    def generators(self):
+        return [_core_vec(_public(core, t, self.coding), self.rank, self.field)
+                for core, t, _ in self._cores]
+
     def __len__(self):
-        return len(self.generators)
+        return len(self._cores)
 
     def leading_terms(self):
         return [_unpack(t) for _, t, _ in self._cores]
@@ -428,10 +434,23 @@ class GroebnerBasis:
         _, rem, _ = self._reduce(v, False)
         return not rem
 
+    def irredundant(self, candidates) -> set:
+        """Indices of the generators kept by greedy pruning: each candidate in
+        turn goes if a run on the engine vectors of the rest generates it."""
+        vecs, kept = [core for core, _, _ in self._cores], set(range(len(self)))
+        for k in candidates:
+            if len(kept) == 1:
+                break
+            rows = _run_buchberger([vecs[m] for m in kept - {k}], self.order, self.coding)
+            if not _normal_form_core(vecs[k], [v for v, _ in rows], [t for _, t in rows],
+                                     None, None, self.coding)[0]:
+                kept.remove(k)
+        return kept
+
     def cofactors_on_inputs(self, basis_cofactors):
         """Rewrite basis cofactors as cofactors on the original generators."""
         if self.transform is None:
-            raise ValueError("basis was computed without cofactor tracking")
+            raise InvalidInput("basis was computed without cofactor tracking")
         n_inputs = len(self.transform[0]) if self.transform else 0
         out = [Polynomial.zero(self.field) for _ in range(n_inputs)]
         for c, row in zip(basis_cofactors, self.transform):
@@ -482,10 +501,9 @@ def buchberger(gens, order=None, track_cofactors: bool = False) -> GroebnerBasis
     else:
         rows, _ = _augmented_run(vecs, rank, field, order)
         order = order.restricted(rank)
-    gens_out = [_core_vec(_public(core, t, coding), rank, field) for core, t, _ in rows]
     cores = [(core, t, Rational(coding.lead(core[t]))) for core, t, _ in rows]
     transform = [tags for _, _, tags in rows] if track_cofactors else None
-    return GroebnerBasis(gens_out, order, field, rank, transform, cores)
+    return GroebnerBasis(None, order, field, rank, transform, cores)
 
 
 def _augmented_run(vecs, rank, field, order):

@@ -5,8 +5,8 @@ A form is tangent exactly when f_x*Q - f_y*P lies in <f>, so the module is
 the projection to (P, Q) of the relations among (-f_y, f_x, f).  On top of
 that raw construction sit: the distinguished 1-form built from a kernel
 witness theta (f*theta = A*f_x + B*f_y gives -B dx + A dy), generation
-verification with certificates, greedy irredundant generating sets, and the
-Saito wedge test for freeness.
+verification by reduction to zero, greedy irredundant generating sets, and
+the Saito wedge test for freeness.
 
 Each constructed form is certified once, by the identity that builds it:
 a raw form by its relation row, the kernel form by df ^ omega = theta*f, and
@@ -105,8 +105,10 @@ def omega_from_theta(f: Polynomial, ma: MilnorAlgebra,
     return omega
 
 
-def four_generators(f: Polynomial, omega: OneForm) -> GeneratorSet:
-    """f dx, f dy, df and the kernel form that omega_from_theta certified."""
+def four_generators(f: Polynomial, ma: MilnorAlgebra,
+                    theta: Polynomial) -> GeneratorSet:
+    """f dx, f dy, df and the kernel form omega_from_theta builds from theta."""
+    omega = omega_from_theta(f, ma, theta)
     return GeneratorSet("four_generator", trivial_forms(f) + [omega], f)
 
 
@@ -114,25 +116,22 @@ def four_generators(f: Polynomial, omega: OneForm) -> GeneratorSet:
 class GenerationResult:
     generates: bool
     witness: Optional[OneForm] = None     # first reference form left over
-    certificates: Optional[list] = None   # cofactor rows onto the candidates
 
     def __bool__(self):
         return self.generates
 
 
 def verify_generation(candidate, reference) -> GenerationResult:
-    """Does <candidate> contain every reference form?  Certificates are
-    exact cofactor rows; the witness is the first failing form."""
+    """Does <candidate> contain every reference form, i.e. reduce to zero
+    against its reduced basis?  The witness is the first that does not."""
     cand_forms = candidate.forms if isinstance(candidate, GeneratorSet) else list(candidate)
     ref_forms = reference.forms if isinstance(reference, GeneratorSet) else list(reference)
-    gb = buchberger(cand_forms, track_cofactors=True)
-    rows = []
+    zero = bool(cand_forms) and all(w.is_zero() for w in cand_forms)
+    gb = None if zero else buchberger(cand_forms)
     for w in ref_forms:
-        rem, cof = gb.normal_form(w, track_cofactors=True)
-        if not rem.is_zero():
+        if not (w.is_zero() if zero else gb.reduces_to_zero(w)):
             return GenerationResult(False, witness=w)
-        rows.append(gb.cofactors_on_inputs(cof))
-    return GenerationResult(True, certificates=rows)
+    return GenerationResult(True)
 
 
 def minimal_generators(gens: GeneratorSet, order=None) -> GeneratorSet:
@@ -145,16 +144,11 @@ def minimal_generators(gens: GeneratorSet, order=None) -> GeneratorSet:
     if not gens.forms:
         raise ZeroInput("empty generating set")
     gb = buchberger(gens.forms, order)
-    kept = [OneForm(*v.components) for v in gb.generators]
-    for w in sorted(kept, key=lambda u: (u.total_degree(), format_one_form(u)),
-                    reverse=True):
-        if len(kept) == 1:
-            break
-        rest = [u for u in kept if u is not w]
-        if buchberger(rest, order).reduces_to_zero(w):
-            kept = rest
-    kept.sort(key=lambda u: (u.total_degree(), format_one_form(u)))
-    return GeneratorSet("minimal", kept, gens.f)
+    forms = [OneForm(*v.components) for v in gb.generators]
+    keys = [(w.total_degree(), format_one_form(w)) for w in forms]
+    ascending = sorted(range(len(forms)), key=keys.__getitem__)
+    kept = gb.irredundant(reversed(ascending))
+    return GeneratorSet("minimal", [forms[k] for k in ascending if k in kept], gens.f)
 
 
 @dataclass

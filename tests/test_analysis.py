@@ -2,7 +2,10 @@
 
 import json
 
-from curveforms import Weights, analyze, milnor, parse_polynomial
+import pytest
+
+from curveforms import (QQ, Weights, analyze, groebner, milnor,
+                        parse_polynomial, tangent)
 from curveforms.poly import field_from_minpoly
 
 
@@ -153,3 +156,33 @@ def test_analyze_checks_tameness_once(monkeypatch):
     # check_tame's basis of <g_x, g_y>, g the top form, is shared with
     # milnor_algebra instead of being computed again
     assert sum(gens == top_jacobian for gens in calls) == 1
+
+
+@pytest.mark.parametrize("text, minpoly, augmented", [
+    ("x*y-1", None, 1),             # the tracked Jacobian basis
+    ("x^5+y^5-x^2*y^2", None, 2),   # ... and the syzygies of a singular curve
+    ("x^4+2*y^4+x^2-x*y^2+2*x*y-3*y^3", "z^2+1", 2),
+])
+def test_analyze_tracks_and_decodes_only_what_it_reads(monkeypatch, text,
+                                                       minpoly, augmented):
+    # generation is decided on an untracked basis, and a basis is decoded to
+    # field scalars only when its generators are read: here only the basis
+    # that minimal_generators turns into the reported forms
+    runs, bases = [], []
+    original_run, original_buchberger = groebner._augmented_run, groebner.buchberger
+
+    def recording_run(*args):
+        runs.append(args)
+        return original_run(*args)
+
+    def recording_buchberger(*args, **kwargs):
+        bases.append(original_buchberger(*args, **kwargs))
+        return bases[-1]
+    monkeypatch.setattr(groebner, "_augmented_run", recording_run)
+    for module in (groebner, milnor, tangent):
+        monkeypatch.setattr(module, "buchberger", recording_buchberger)
+    fld = field_from_minpoly(minpoly) if minpoly else QQ
+    analyze(parse_polynomial(text, fld))
+    assert len(runs) == augmented
+    decoded = [gb for gb in bases if "generators" in vars(gb)]
+    assert len(bases) > 3 and len(decoded) == 1

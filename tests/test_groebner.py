@@ -326,3 +326,11 @@ def test_buchberger_rejects_all_zero_generators():
     zero = Polynomial.zero()
     with pytest.raises(InvalidInput):
         buchberger([zero, zero])
+
+
+def test_cofactors_on_inputs_need_a_tracked_basis():
+    gb = buchberger([_p("x^2"), _p("x*y-1")])
+    with pytest.raises(InvalidInput):
+        gb.cofactors_on_inputs([_p("1")] * len(gb))
+    # a typed error that is still a ValueError
+    assert issubclass(InvalidInput, ValueError)

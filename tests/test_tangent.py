@@ -67,8 +67,7 @@ def test_syzygy_generators_are_tangent(f):
     if exponent(p) == 0:
         candidate = smooth_generators(f, 0)
     else:
-        omega = omega_from_theta(f, ma, theta_polynomial(ma, op, p))
-        candidate = four_generators(f, omega)
+        candidate = four_generators(f, ma, theta_polynomial(ma, op, p))
     for w in syzygy_generators(f).forms + candidate.forms:
         assert is_tangent(f, w)
 
@@ -162,14 +161,22 @@ def test_four_generator_set_acampo_fails_generation():
     ma = milnor_algebra(f)
     op = multiplication_operator(ma)
     theta = theta_polynomial(ma, op)
-    omega = omega_from_theta(f, ma, theta)
-    four = four_generators(f, omega)
+    four = four_generators(f, ma, theta)
     assert len(four.forms) == 4
+    assert four.forms[3] == omega_from_theta(f, ma, theta)
     raw = syzygy_generators(f)
     verdict = verify_generation(four, raw)
     assert not verdict.generates
     assert verdict.witness is not None
     assert not membership(verdict.witness, four.forms).contained
+
+
+def test_four_generators_reject_a_bad_theta():
+    # the kernel form is built, and certified, from theta itself
+    f = _p(ACAMPO)
+    ma = milnor_algebra(f)
+    with pytest.raises(NotInJacobian):
+        four_generators(f, ma, Polynomial.constant(1))
 
 
 def test_verify_generation_quasihomogeneous():
@@ -219,6 +226,15 @@ def test_verify_generation_rejects_an_empty_candidate():
     f = _p("x*y-1")
     with pytest.raises(InvalidInput):
         verify_generation([], [exterior_derivative(f)])
+
+
+def test_verify_generation_of_the_zero_module():
+    # all-zero candidates generate the zero module: only zero lies in it
+    f = _p("x*y-1")
+    zero = OneForm(Polynomial.zero(), Polynomial.zero())
+    assert verify_generation([zero, zero], [zero]).generates
+    verdict = verify_generation([zero], [zero, exterior_derivative(f)])
+    assert verdict.witness == exterior_derivative(f)
 
 
 def test_saito_requires_tangency():
@@ -290,12 +306,11 @@ def test_generation_certificates_recombine():
     f = _p("x*y-1")
     raw = syzygy_generators(f)
     triv = trivial_forms(f)
-    verdict = verify_generation(raw, triv)
-    assert verdict.generates
-    from curveforms import recombine
-    for row, target in zip(verdict.certificates, triv):
-        rebuilt = recombine(row, raw.forms)
-        assert rebuilt == target
+    assert verify_generation(raw, triv).generates
+    for target in triv:
+        certificate = membership(target, raw.forms)
+        assert certificate.contained
+        assert recombine(certificate.cofactors, raw.forms) == target
 
 
 def test_minimal_generators_respect_order_argument():
@@ -322,9 +337,7 @@ def test_engine_takes_forms_directly(text, minpoly):
     assert result.contained
     rebuilt = recombine(result.cofactors, triv)
     assert type(rebuilt) is OneForm and rebuilt == target
-    verdict = verify_generation(triv, [target])
-    assert verdict.generates
-    assert recombine(verdict.certificates[0], triv) == target
+    assert verify_generation(triv, [target]).generates
     dx = OneForm(Polynomial.constant(1, fld), Polynomial.zero(fld))
     assert not membership(dx, triv).contained
     assert not verify_generation(triv, [dx]).generates
