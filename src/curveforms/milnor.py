@@ -51,11 +51,11 @@ def jacobian(f: Polynomial):
     return [f.diff("x"), f.diff("y")]
 
 
-def _jacobian_basis(f: Polynomial, order: TermOrder, track=False) -> GroebnerBasis:
+def _jacobian_basis(f: Polynomial, order: TermOrder) -> GroebnerBasis:
     gens = jacobian(f)
     if all(g.is_zero() for g in gens):
         raise ZeroInput("constant polynomial has no Jacobian ideal")
-    return buchberger(gens, order, track_cofactors=track)
+    return buchberger(gens, order)
 
 
 def standard_monomials(gb, order: TermOrder):
@@ -104,7 +104,7 @@ class MilnorAlgebra:
     weights: Weights
     order: TermOrder
     d: int                      # weighted degree of f
-    gb: GroebnerBasis           # of the Jacobian ideal, with cofactors
+    gb: GroebnerBasis           # of the Jacobian ideal
     basis: list                 # standard monomials, ascending
     mu: int
     tame: bool
@@ -130,7 +130,7 @@ def milnor_algebra(f: Polynomial, weights: Weights = Weights(1, 1), *,
     if not tame_res.tame and not allow_untame:
         raise NotTame(tame_res.reason)
     order = TermOrder(weights)
-    gb = _jacobian_basis(f, order, track=True)
+    gb = _jacobian_basis(f, order)
     basis = standard_monomials(gb, order)
     if basis is None:
         raise NotFiniteDimensional(
@@ -147,11 +147,10 @@ def milnor_algebra(f: Polynomial, weights: Weights = Weights(1, 1), *,
         at_top = [m for m in basis if m[0] * a1 + m[1] * a2 == top]
         above = [m for m in basis if m[0] * a1 + m[1] * a2 > top]
         unique_top = len(at_top) == 1 and not above
-    ma = MilnorAlgebra(f=f, weights=weights, order=order, d=d, gb=gb,
-                       basis=basis, mu=mu, tame=tame_res.tame,
-                       g_dimension=tame_res.g_dimension, top_degree=top,
-                       unique_top=unique_top)
-    return ma
+    return MilnorAlgebra(f=f, weights=weights, order=order, d=d, gb=gb,
+                         basis=basis, mu=mu, tame=tame_res.tame,
+                         g_dimension=tame_res.g_dimension, top_degree=top,
+                         unique_top=unique_top)
 
 
 class MultiplicationOperator(Matrix):

@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 from .errors import (InvalidInput, InvariantViolation, NotHomogeneous,
                      NotInJacobian, NotSmooth, NotTangent, ZeroInput)
 from .field import Rational
-from .groebner import GroebnerBasis, ModuleOrder, buchberger, syzygies
-from .milnor import MilnorAlgebra
+from .groebner import GroebnerBasis, ModuleOrder, buchberger, membership, syzygies
+from .milnor import MilnorAlgebra, jacobian
 from .poly import (ModuleVector, OneForm, Polynomial, TermOrder, Weights,
                    exterior_derivative, format_one_form, wedge)
 
@@ -92,13 +92,13 @@ def smooth_generators(f: Polynomial, curve_exponent: int) -> GeneratorSet:
 
 def omega_from_theta(f: Polynomial, ma: MilnorAlgebra,
                      theta: Polynomial) -> OneForm:
-    """The distinguished tangent form: write f*theta = A*f_x + B*f_y via
-    tracked division, then return omega = -B dx + A dy.  The cofactors are
+    """The distinguished tangent form: f*theta = A*f_x + B*f_y by a membership
+    certificate on (f_x, f_y), and omega = -B dx + A dy.  The cofactors are
     checked exactly, df ^ omega = theta*f, which certifies omega tangent."""
-    rem, cof = ma.gb.normal_form(f * theta, track_cofactors=True)
-    if not rem.is_zero():
+    cert = membership(f * theta, jacobian(f), ma.order)
+    if not cert:
         raise NotInJacobian("f*theta does not reduce to zero; bad theta")
-    a, b = ma.gb.cofactors_on_inputs(cof)
+    a, b = cert.cofactors
     omega = OneForm(-b, a)
     if wedge(exterior_derivative(f), omega).coeff != f * theta:
         raise InvariantViolation("wedge identity for the kernel form failed")

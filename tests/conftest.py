@@ -96,3 +96,8 @@ def tame_curves(draw, field):
         i = draw(st.integers(0, d - 1))
         terms[(i, draw(st.integers(0, d - 1 - i)))] = scalar()
     return Polynomial(field, terms)
+
+
+def through_origin(f):
+    """f without its constant and linear terms: f = 0 is singular at 0."""
+    return Polynomial(f.field, {m: c for m, c in f.terms.items() if sum(m) >= 2})

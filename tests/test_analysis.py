@@ -158,18 +158,28 @@ def test_analyze_checks_tameness_once(monkeypatch):
     assert sum(gens == top_jacobian for gens in calls) == 1
 
 
-@pytest.mark.parametrize("text, minpoly, augmented", [
-    ("x*y-1", None, 1),             # the tracked Jacobian basis
-    ("x^5+y^5-x^2*y^2", None, 2),   # ... and the syzygies of a singular curve
-    ("x^4+2*y^4+x^2-x*y^2+2*x*y-3*y^3", "z^2+1", 2),
-])
+TRACKED_CASES = [
+    # (f, minimal polynomial, augmented runs, verify_generation calls)
+    ("x*y-1", None, 0, 1),          # tau = 0: only the free pair's back check
+    ("x^5+y^5-x^2*y^2", None, 2, 1),  # omega's membership and the syzygies
+    ("x^4+2*y^4+x^2-x*y^2+2*x*y-3*y^3", "z^2+1", 2, 1),
+    ("x^3+y^3+(2+z)*x*y-z", "z^2+1", 0, 0),  # tau = 0, no free pair
+]
+
+
+@pytest.mark.parametrize("text, minpoly, augmented, verified", TRACKED_CASES,
+                         ids=[f"{t}-{m}-{a}" for t, m, a, _ in TRACKED_CASES])
 def test_analyze_tracks_and_decodes_only_what_it_reads(monkeypatch, text,
-                                                       minpoly, augmented):
-    # generation is decided on an untracked basis, and a basis is decoded to
-    # field scalars only when its generators are read: here only the basis
-    # that minimal_generators turns into the reported forms
-    runs, bases = [], []
+                                                       minpoly, augmented,
+                                                       verified):
+    # the Jacobian basis is untracked and only omega's membership certificate
+    # tracks cofactors; generation is decided on an untracked basis, and not
+    # at all when tau = 0; a basis is decoded to field scalars only when its
+    # generators are read: here only the basis that minimal_generators turns
+    # into the reported forms
+    runs, bases, verifications = [], [], []
     original_run, original_buchberger = groebner._augmented_run, groebner.buchberger
+    original_verify = tangent.verify_generation
 
     def recording_run(*args):
         runs.append(args)
@@ -178,11 +188,19 @@ def test_analyze_tracks_and_decodes_only_what_it_reads(monkeypatch, text,
     def recording_buchberger(*args, **kwargs):
         bases.append(original_buchberger(*args, **kwargs))
         return bases[-1]
+
+    def recording_verify(*args):
+        verifications.append(args)
+        return original_verify(*args)
     monkeypatch.setattr(groebner, "_augmented_run", recording_run)
     for module in (groebner, milnor, tangent):
         monkeypatch.setattr(module, "buchberger", recording_buchberger)
+    monkeypatch.setattr(tangent, "verify_generation", recording_verify)
     fld = field_from_minpoly(minpoly) if minpoly else QQ
     analyze(parse_polynomial(text, fld))
     assert len(runs) == augmented
+    assert len(verifications) == verified
+    # check_tame, milnor_algebra and minimal_generators build one basis each,
+    # and each verify_generation one more
     decoded = [gb for gb in bases if "generators" in vars(gb)]
-    assert len(bases) > 3 and len(decoded) == 1
+    assert len(bases) >= 3 + verified and len(decoded) == 1

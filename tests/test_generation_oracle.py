@@ -6,27 +6,44 @@ engine's vectors; the references track cofactors and prune on decoded
 forms.  Verdicts, witnesses and minimal forms must be equal on every corpus
 curve with a finite Jacobian quotient and on drawn tame curves over Q and
 Q(i), including the curves where the four forms do not generate.
+
+analyze decides generation without a run when tau = 0; its verdict must
+still equal the reference's, on these curves and on the golden inputs.
 """
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from curveforms import (QQ, Polynomial, TermOrder, Weights, analyze,
-                        minimal_generators, parse_polynomial, syzygy_generators,
+from curveforms import (QQ, GeneratorSet, Polynomial, TermOrder, Weights,
+                        analyze, format_polynomial, minimal_generators,
+                        parse_polynomial, syzygy_generators, tangent,
                         verify_generation)
 from curveforms.poly import field_from_minpoly
 import generation_oracle as oracle
-from conftest import tame_curves
+from conftest import tame_curves, through_origin
+from record_golden import CASES
 from test_milnor_oracle import CORPUS_CURVES
 
 GAUSSIAN = field_from_minpoly("z^2+1")
 
 
-def assert_matches_oracle(f, weights=(1, 1)):
-    """Returns whether the candidate of analyze generates the module."""
+def assert_matches_oracle(f, weights=(1, 1), allow_untame=True):
+    """Returns whether the candidate of analyze generates the module, or
+    None when analyze stops at a curve that is not tame."""
     order = TermOrder(Weights(*weights))
-    rep = analyze(f, Weights(*weights), allow_untame=True)
+    verified = []
+    original = tangent.verify_generation
+
+    def recording(candidate, reference):
+        verified.append(candidate)
+        return original(candidate, reference)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tangent, "verify_generation", recording)
+        rep = analyze(f, Weights(*weights), allow_untame=allow_untame)
+    if rep.generation is None:
+        assert not rep.tame and not verified
+        return None
     candidate = rep.four if rep.exponent else rep.trivial
     raw = syzygy_generators(f, order)
     mini = minimal_generators(raw, order)
@@ -34,7 +51,15 @@ def assert_matches_oracle(f, weights=(1, 1)):
     for cand, ref in [(candidate, raw), (raw, candidate), (mini, raw)]:
         verdict = verify_generation(cand, ref)
         assert (verdict.generates, verdict.witness) == oracle.verify_generation(cand, ref)[:2]
-    return rep.generation["generates"]
+    # the report's verdict is the reference's, though the candidate is
+    # checked by a run exactly when tau > 0 (the free pair's back check
+    # passes a list, the candidate a GeneratorSet)
+    generates, witness, _ = oracle.verify_generation(candidate, raw)
+    assert rep.generation["generates"] == generates
+    assert rep.generation["witness"] == (None if generates else {
+        "P": format_polynomial(witness.P), "Q": format_polynomial(witness.Q)})
+    assert any(isinstance(c, GeneratorSet) for c in verified) == (rep.tau > 0)
+    return generates
 
 
 @pytest.mark.parametrize("text,weights,minpoly", CORPUS_CURVES,
@@ -46,10 +71,22 @@ def test_corpus_curve_matches_oracle(text, weights, minpoly):
     assert generates == (text != "x^5+y^5-x^2*y^2")
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_input_matches_oracle(name):
+    text, weights, minpoly, allow_untame = CASES[name]
+    field = field_from_minpoly(minpoly) if minpoly else QQ
+    assert_matches_oracle(parse_polynomial(text, field), weights, allow_untame)
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from([QQ, GAUSSIAN]).flatmap(tame_curves))
+@given(st.sampled_from([QQ, GAUSSIAN])
+       .flatmap(tame_curves)
+       .flatmap(lambda f: st.sampled_from([f, through_origin(f)])))
+@example(parse_polynomial("x*y-1"))
 @example(parse_polynomial("x^5+y^5-x^2*y^2"))
 def test_drawn_curves_match_oracle(f):
+    # smooth and singular: a drawn curve keeps or loses its constant and
+    # linear terms
     assert_matches_oracle(f)
 
 
@@ -64,3 +101,4 @@ def test_drawn_acampo_curves_have_the_same_witness(args):
     scalar = field.scalar([a] + [c] * (field.degree - 1))
     f = x ** 5 + scalar * y ** 5 - c * x ** 2 * y ** 2
     assert not assert_matches_oracle(f)
+

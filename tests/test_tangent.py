@@ -4,10 +4,10 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
-from curveforms import (InvalidInput, InvariantViolation, ModuleVector,
-                        NotHomogeneous, NotInJacobian, NotSmooth, NotTangent,
-                        OneForm, Polynomial, QQ, TermOrder, Weights, analyze,
-                        buchberger, exponent, exterior_derivative,
+from curveforms import (InvalidInput, InvariantViolation, Membership,
+                        ModuleVector, NotHomogeneous, NotInJacobian, NotSmooth,
+                        NotTangent, OneForm, Polynomial, QQ, TermOrder, Weights,
+                        analyze, buchberger, exponent, exterior_derivative,
                         field_from_minpoly, four_generators, is_tangent,
                         membership, milnor_algebra, min_poly,
                         minimal_generators, multiplication_operator,
@@ -17,7 +17,7 @@ from curveforms import (InvalidInput, InvariantViolation, ModuleVector,
                         theta_polynomial, trivial_forms, verify_generation,
                         wedge)
 from curveforms import cli, tangent
-from conftest import tame_curves
+from conftest import tame_curves, through_origin
 
 
 def _p(text):
@@ -40,15 +40,10 @@ def test_tangency_defect():
 GAUSSIAN = field_from_minpoly("z^2+1")
 
 
-def _through_origin(f):
-    """f without its constant and linear terms: f = 0 is singular at 0."""
-    return Polynomial(f.field, {m: c for m, c in f.terms.items() if sum(m) >= 2})
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([QQ, GAUSSIAN])
        .flatmap(tame_curves)
-       .flatmap(lambda f: st.sampled_from([f, _through_origin(f)])))
+       .flatmap(lambda f: st.sampled_from([f, through_origin(f)])))
 @example(_p("x*y-1"))
 @example(_p(ACAMPO))
 @example(_p("x^3+y^3"))
@@ -88,19 +83,30 @@ def test_corrupted_relation_is_an_invariant_violation(monkeypatch, capsys):
     assert "relation does not certify tangency" in capsys.readouterr().err
 
 
-def test_corrupted_kernel_cofactor_is_an_invariant_violation(monkeypatch):
+def test_corrupted_kernel_cofactor_is_an_invariant_violation(monkeypatch, capsys):
     f = _p(ACAMPO)
     ma = milnor_algebra(f)
     op = multiplication_operator(ma)
     theta = theta_polynomial(ma, op)
-    original = ma.gb.cofactors_on_inputs
+    original = tangent.membership
 
-    def corrupted(cof):
-        a, b = original(cof)
-        return [a + Polynomial.variable("x"), b]
-    monkeypatch.setattr(ma.gb, "cofactors_on_inputs", corrupted)
+    def corrupted(*args):
+        a, b = original(*args).cofactors
+        return Membership(True, [a + Polynomial.variable("x"), b])
+    monkeypatch.setattr(tangent, "membership", corrupted)
     with pytest.raises(InvariantViolation):
         omega_from_theta(f, ma, theta)
+    # an engine fault, not bad input: exit 3
+    assert cli.main(["analyze", "-f", ACAMPO]) == 3
+    assert "wedge identity for the kernel form failed" in capsys.readouterr().err
+
+
+def test_jacobian_basis_tracks_no_cofactors():
+    # omega takes its cofactors from a membership certificate, so the Milnor
+    # algebra's basis carries no transform to the inputs
+    ma = milnor_algebra(_p(ACAMPO))
+    with pytest.raises(InvalidInput):
+        ma.gb.cofactors_on_inputs([Polynomial.zero()] * len(ma.gb))
 
 
 @pytest.mark.parametrize("text, minpoly, count", [
