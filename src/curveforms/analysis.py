@@ -237,11 +237,13 @@ def analyze(f: Polynomial, weights: Weights = Weights(1, 1), *,
     timings["forms"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    raw = tangent.syzygy_generators(f, order)
+    # the candidate's lifts generate every relation when <f, f_x, f_y> (with
+    # omega also theta, P_w, Q_w) is (1), which tau = 0 already proves
+    unit = report.tau == 0 or milnor.unit_ideal(
+        ma, report.theta, report.omega.P, report.omega.Q)
+    raw = tangent.syzygy_generators(f, order, candidate, unit)
     report.syzygy_count = len(raw)
-    # tau = 0: the Koszul rows, the lifts of f dx, f dy and df, span every
-    # relation among (-f_y, f_x, f), and every candidate holds those forms
-    gen = report.tau == 0 or tangent.verify_generation(candidate, raw)
+    gen = unit or tangent.verify_generation(candidate, raw)
     report.generation = {
         "candidate_kind": candidate.kind,
         "generates": bool(gen),
@@ -253,17 +255,13 @@ def analyze(f: Polynomial, weights: Weights = Weights(1, 1), *,
     mini = tangent.minimal_generators(raw, order)
     report.minimal = mini.forms
     if len(mini) == 2:
+        # a free pair generates: a tangent w has c*f*w = (w ^ w_inf)*w_0 +
+        # (w_0 ^ w)*w_inf, and f divides both wedges on a reduced curve
         s = tangent.saito_check(mini.forms, f)
         report.saito = {
             "free": s.free,
             "constant": f.field.format_scalar(s.constant) if s.free else None,
             "pair": [_form_dict(w) for w in mini.forms] if s.free else None,
         }
-        if s.free:
-            back = tangent.verify_generation(mini.forms, raw)
-            if not back.generates:
-                report.warnings.append(
-                    "freeness verdict is positive but the pair fails to "
-                    "generate; finding, please report")
     timings["minimal"] = time.perf_counter() - t0
     return report

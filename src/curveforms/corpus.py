@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import analysis, milnor, tangent
 from .errors import UnknownFixture
@@ -61,6 +62,12 @@ def _form(ptext, qtext, field=QQ):
     return OneForm(_pp(ptext, field), _pp(qtext, field))
 
 
+def _tangent_pair(rec, f, w0, winf):
+    """Records that both forms are tangent; the pair's freeness verdict."""
+    rec.check("pair_tangent", tangent.is_tangent(f, w0) and tangent.is_tangent(f, winf))
+    return tangent.saito_check([w0, winf], f)
+
+
 def _mutual_generation(rec, name, left, right):
     fwd = tangent.verify_generation(left, right)
     bwd = tangent.verify_generation(right, left)
@@ -108,10 +115,8 @@ def run_circle_qi(rec):
     w0 = OneForm(_pp("(x^2-y^2+1)-2*x*y*z", K),
                  _pp("2*x*y+(x^2-y^2-1)*z", K))
     winf = OneForm(g, _pp("z", K) * g)
-    rec.check("pair_tangent", tangent.is_tangent(g, w0)
-              and tangent.is_tangent(g, winf))
+    s = _tangent_pair(rec, g, w0, winf)
     _mutual_generation(rec, "pair_vs_minimal", rep.minimal, [w0, winf])
-    s = tangent.saito_check([w0, winf], g)
     two_z = K.scalar((0, 2))
     rec.check("saito_constant_nonzero", s.free and bool(s.constant), s.free)
     rec.equal("saito_constant_value", s.constant, two_z)
@@ -218,9 +223,7 @@ def run_linsneto(rec):
     rec.check("no_warnings", not rep.warnings, rep.warnings)
     w0 = _form(*LINSNETO_PAIR[0])
     winf = _form(*LINSNETO_PAIR[1])
-    rec.check("pair_tangent", tangent.is_tangent(f, w0)
-              and tangent.is_tangent(f, winf))
-    s = tangent.saito_check([w0, winf], f)
+    s = _tangent_pair(rec, f, w0, winf)
     rec.check("saito_constant", s.free and s.constant == QQ.from_int(-1),
               s.constant if s.free else "not free")
     rec.equal("minimal_count", len(rep.minimal), 2)
@@ -233,9 +236,7 @@ def run_lissajous(rec):
     f = _pp("2*(2*x^2-1)^2+(2*y+1)^2*(y-1)")
     w0 = _form("-16*x*y^2+8*x*y+8*x", "12*x^2*y-6*x^2-6*y+3")
     winf = _form("-16*x^2*y+8*y^2+4*y-4", "12*x^3-6*x*y-9*x")
-    rec.check("pair_tangent", tangent.is_tangent(f, w0)
-              and tangent.is_tangent(f, winf))
-    s = tangent.saito_check([w0, winf], f)
+    s = _tangent_pair(rec, f, w0, winf)
     rec.check("saito_free", s.free)
     rec.equal("wedge_constant", s.constant,
               QQ.from_int(LISSAJOUS_WEDGE_CONSTANT))
@@ -248,9 +249,7 @@ def run_deltoid(rec):
     f = _pp("(x^2+y^2)^2+8*x*(x^2-3*y^2)+18*(x^2+y^2)-27")
     w0 = _form("x^2-3*y^2+6*x+9", "4*x*y-6*y")
     winf = _form("-4*x*y+6*y", "3*x^2-y^2+6*x-9")
-    rec.check("pair_tangent", tangent.is_tangent(f, w0)
-              and tangent.is_tangent(f, winf))
-    s = tangent.saito_check([w0, winf], f)
+    s = _tangent_pair(rec, f, w0, winf)
     rec.check("saito_free", s.free)
     rec.equal("wedge_constant", s.constant, QQ.from_int(DELTOID_WEDGE_CONSTANT))
 
@@ -261,9 +260,7 @@ def run_rose(rec):
     f = _pp("4*x^4+8*x^2*y^2+4*y^4-4*x^6-12*x^4*y^2-12*x^2*y^4-4*y^6-y^2")
     w0 = _form("8*x^3-x*y^2", "11*x^2*y+2*y^3-y")
     winf = _form("5*x^2*y-4*y^3+2*y", "x^3+10*x*y^2-x")
-    rec.check("pair_tangent", tangent.is_tangent(f, w0)
-              and tangent.is_tangent(f, winf))
-    s = tangent.saito_check([w0, winf], f)
+    s = _tangent_pair(rec, f, w0, winf)
     rec.check("saito_free", s.free)
     rec.equal("wedge_constant", s.constant, QQ.from_int(ROSE_WEDGE_CONSTANT))
     numerator = _pp("(x^2+y^2-1/3)^3")
@@ -305,14 +302,9 @@ def shaped_tangent_forms(fx: Polynomial, caps):
     dfx = fx.diff("x")
     n1, n3 = p1 + 1, p3 + 1
     dmax = max(fx.total_degree() + p1, dfx.total_degree() + p3)
-    rows = []
-    for deg in range(p2 + 1, int(dmax) + 1):
-        row = []
-        for k in range(n1):
-            row.append(fx.terms.get((deg - k, 0), QQ.zero))
-        for k in range(n3):
-            row.append(dfx.terms.get((deg - k, 0), QQ.zero))
-        rows.append(row)
+    rows = [[fx.terms.get((deg - k, 0), QQ.zero) for k in range(n1)]
+            + [dfx.terms.get((deg - k, 0), QQ.zero) for k in range(n3)]
+            for deg in range(p2 + 1, int(dmax) + 1)]
     if not rows:
         rows = [[QQ.zero] * (n1 + n3)]
     kernel = Matrix(QQ, rows).kernel_basis()
@@ -338,14 +330,11 @@ def _graph_side(fx, caps):
         if (_xdeg(a1), _xdeg(a2), _xdeg(a3)) == caps:
             return sol
     # try pairwise sums for the side that contains the smaller shape too
-    for i in range(len(sols)):
-        for j in range(i + 1, len(sols)):
-            a1 = sols[i][1] + sols[j][1]
-            a2 = sols[i][2] + sols[j][2]
-            a3 = sols[i][3] + sols[j][3]
-            if (_xdeg(a1), _xdeg(a2), _xdeg(a3)) == caps:
-                y = Polynomial.variable("y")
-                return OneForm(y * a1 + a2, a3), a1, a2, a3
+    for si, sj in combinations(sols, 2):
+        a1, a2, a3 = (si[k] + sj[k] for k in (1, 2, 3))
+        if (_xdeg(a1), _xdeg(a2), _xdeg(a3)) == caps:
+            y = Polynomial.variable("y")
+            return OneForm(y * a1 + a2, a3), a1, a2, a3
     return None
 
 
@@ -383,9 +372,7 @@ def run_riccati(rec):
     f = _pp("x*(x-1)*(x+1)")
     w0 = OneForm(Polynomial.constant(1), Polynomial.zero())
     winf = OneForm(Polynomial.zero(), f)
-    rec.check("pair_tangent", tangent.is_tangent(f, w0)
-              and tangent.is_tangent(f, winf))
-    s = tangent.saito_check([w0, winf], f)
+    s = _tangent_pair(rec, f, w0, winf)
     rec.check("saito_free", s.free)
     rec.equal("wedge_is_f", wedge(w0, winf).coeff, f)
     riccati_form = _form("y^2+x", "x^3-x")

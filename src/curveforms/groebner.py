@@ -5,10 +5,9 @@ run: each generator g_k is extended with a unit tag e_k and the basis is
 computed under an order that eliminates the original block, so output rows
 with a surviving first block form a basis of the module (their tags
 expressing them in the inputs), while rows with a zero first block are
-exactly the syzygies.  Syzygies come from that run only when the inputs are
-not polynomials generating (1); for those (a smooth affine curve's
--f_y, f_x, f) a tag-free run proves the unit ideal and the relations are
-the reduced basis of the Koszul rows, which carry no Bezout cofactors.
+exactly the syzygies.  A caller that knows generators of a relation module
+(the tangent module's lifted forms) takes their reduced basis from a plain
+run instead and checks each row on the engine vectors.
 
 Terms are packed: ModuleOrder.key codes a term (pos, i, j) as one int whose
 integer order is the module order, so a leading term is a plain max() and
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from math import gcd, lcm
 from operator import sub
 from types import SimpleNamespace
@@ -434,6 +432,22 @@ class GroebnerBasis:
         _, rem, _ = self._reduce(v, False)
         return not rem
 
+    def annihilates(self, gens) -> bool:
+        """Is every generator (a_k) a relation, sum a_k * gens[k] == 0?  On engine
+        vectors: each term t of a_k subtracts t times coded gens[k] at position 0."""
+        key, coding = self.order.key, self.coding
+        shifted = [{} for _ in range(self.rank)]
+        for t, c in coding.encode(_vec_core(ModuleVector(tuple(gens)), key))[0].items():
+            pos, i, j = _unpack(t)
+            shifted[pos][key((0, i, j)) - key((pos, 0, 0))] = c
+        for core, _, _ in self._cores:
+            acc = {}
+            for t, c in core.items():
+                coding.subtract(acc, c, shifted[_unpack(t)[0]], None, t)
+            if acc:
+                return False
+        return True
+
     def irredundant(self, candidates) -> set:
         """Indices of the generators kept by greedy pruning: each candidate in
         turn goes if a run on the engine vectors of the rest generates it."""
@@ -452,14 +466,8 @@ class GroebnerBasis:
         if self.transform is None:
             raise InvalidInput("basis was computed without cofactor tracking")
         n_inputs = len(self.transform[0]) if self.transform else 0
-        out = [Polynomial.zero(self.field) for _ in range(n_inputs)]
-        for c, row in zip(basis_cofactors, self.transform):
-            if c.is_zero():
-                continue
-            for idx, t in enumerate(row):
-                if not t.is_zero():
-                    out[idx] = out[idx] + c * t
-        return out
+        return [sum((c * row[k] for c, row in zip(basis_cofactors, self.transform)),
+                    Polynomial.zero(self.field)) for k in range(n_inputs)]
 
 
 def _prepare(gens, order):
@@ -538,39 +546,10 @@ def _augmented_run(vecs, rank, field, order):
 
 def syzygies(gens, order=None):
     """Generators of the relation module {(a_i) : sum a_i * gens_i = 0}: its
-    reduced Groebner basis under ModuleOrder(order.base, len(gens)).
-
-    When rank-1 inputs g_1..g_s generate (1), which a tag-free run decides,
-    the relations are generated by the Koszul rows
-    k_ij = g_j*e_i - g_i*e_j: if sum a_j*g_j = 1 and sum r_i*g_i = 0, then
-    r = sum_ij r_i*a_j*k_ij.  The augmented run orders its tag positions like
-    ModuleOrder(base, s) and a reduced basis is unique, so both routes give
-    the same rows; only a proper ideal or a module needs the augmented run.
-    """
-    vecs, rank, field, order = _prepare(gens, order)
-    if rank == 1:
-        coding = _coding(field)
-        unit = _run_buchberger(_seeds(vecs, coding, order), order, coding)
-        if len(unit) == 1 and _unpack(unit[0][1]) == (0, 0, 0):
-            return _koszul_syzygies([v.components[0] for v in vecs], field, order)
-    _, syz = _augmented_run(vecs, rank, field, order)
+    reduced Groebner basis under ModuleOrder(order.base, len(gens)), read off
+    the augmented run, which orders its tag positions like that order."""
+    _, syz = _augmented_run(*_prepare(gens, order))
     return syz
-
-
-def _koszul_syzygies(polys, field, order):
-    """Reduced basis of the module of the Koszul rows of polys."""
-    s = len(polys)
-    syz_order = ModuleOrder(order.base, s)
-    zero = Polynomial.zero(field)
-    rows = []
-    for i, j in combinations(range(s), 2):
-        row = [zero] * s
-        row[i], row[j] = polys[j], -polys[i]
-        rows.append(ModuleVector(tuple(row)))
-    coding = _coding(field)
-    seeds = _seeds(rows, coding, syz_order)
-    return [_core_vec(_public(core, t, coding), s, field)
-            for core, t in _run_buchberger(seeds, syz_order, coding)]
 
 
 def membership(v, gens, order=None) -> Membership:
@@ -588,8 +567,5 @@ def membership(v, gens, order=None) -> Membership:
 
 def recombine(cofactors, gens) -> ModuleVector:
     """sum cofactors[i] * gens[i]; used to verify certificates exactly."""
-    vecs = [ModuleVector.wrap(g) for g in gens]
-    out = None
-    for c, g in zip(cofactors, vecs):
-        out = c * g if out is None else out + c * g
-    return out
+    terms = [c * ModuleVector.wrap(g) for c, g in zip(cofactors, gens)]
+    return sum(terms[1:], terms[0]) if terms else None

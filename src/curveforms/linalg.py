@@ -61,18 +61,9 @@ class Matrix:
             check_same_field(self.field, other.field)
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch")
-            zero = self.field.zero
-            bt = list(zip(*other.entries)) if other.entries else []
-            out = []
-            for row in self.entries:
-                out_row = []
-                for col in bt:
-                    s = zero
-                    for a, b in zip(row, col):
-                        s = s + a * b
-                    out_row.append(s)
-                out.append(out_row)
-            return Matrix(self.field, out)
+            cols = list(zip(*other.entries))
+            return Matrix(self.field, [[sum((a * b for a, b in zip(row, col)), self.field.zero)
+                                        for col in cols] for row in self.entries])
         return self.scale(other)
 
     def apply(self, vec: Sequence):
@@ -271,20 +262,38 @@ class UniPoly:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
+    def _coded(self):
+        """(coding, key, vector, scale): self == scale * vector, t^k coded as
+        the engine term x^k."""
+        coding, key = groebner._coding(self.field), groebner.ModuleOrder(TermOrder()).key
+        vec, scale = coding.encode({key((0, k, 0)): c for k, c in enumerate(self.coeffs) if c})
+        return coding, key, vec, scale
+
     def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
+        """Quotient of an exact division, by the kernel's tracked division by
+        the normalized vector b of other, mult * a == cof * b, as in gcd."""
+        check_same_field(self.field, other.field)
+        if other.is_zero():
+            raise DivisionByZero("univariate division by zero")
+        coding, _, a, scale = self._coded()
+        b = other._coded()[2]
+        lt = max(b)
+        b = coding.normalized(b, lt)
+        rem, (mult, (cof,)) = groebner._normal_form_core(a, [b], [lt], None, True, coding)
+        if rem:
             raise ValueError("division is not exact")
-        return q
+        q = coding.decode(cof, self.field.inv(other.coeffs[-1])
+                          * (scale * coding.lead(b[lt]) / mult))
+        return UniPoly([q.get((k, 0), self.field.zero)
+                        for k in range(len(self.coeffs) - other.degree())], self.field)
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Monic gcd by primitive pseudo-remainders: t^k is the engine term
         x^k, and the kernel's division by one normalized vector is a
         pseudo-division with the content removed."""
         check_same_field(self.field, other.field)
-        coding, key = groebner._coding(self.field), groebner.ModuleOrder(TermOrder()).key
-        a, b = (coding.encode({key((0, k, 0)): c for k, c in enumerate(p.coeffs) if c})[0]
-                for p in (self, other))
+        coding, key, a, _ = self._coded()
+        b = other._coded()[2]
         while b:
             b = coding.normalized(b, max(b))
             a, b = b, groebner._normal_form_core(a, [b], [max(b)], None, None, coding)[0]

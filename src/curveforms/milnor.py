@@ -111,7 +111,7 @@ class MilnorAlgebra:
     g_dimension: Optional[int] = None
     top_degree: int = 0         # 2d - 2*alpha1 - 2*alpha2
     unique_top: Optional[bool] = None
-    _dims: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    _rows: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     @property
     def field(self):
@@ -229,20 +229,34 @@ def _apply_poly(h: UniPoly, op: MultiplicationOperator, vec, scale=1):
     return coding.divided(acc, g), scale * s * g / op.den ** h.degree()
 
 
-def _quotient_dimension(ma: MilnorAlgebra, g) -> int:
-    """dim V_f/(g) = dim K[x,y]/<f_x, f_y, g> for a coded g in normal form,
-    by a run seeded with the Jacobian basis's engine vectors, once per line
-    of g: tau and the first rank at the root 0 share the line of [f]."""
-    if not g:
+def _quotient_rows(ma: MilnorAlgebra, *gs) -> list:
+    """Reduced basis rows of <f_x, f_y, g_1, ...> for coded g_k in normal
+    form, by a run seeded with the Jacobian basis's engine vectors, once per
+    set of lines: tau and the first rank at the root 0 share the line of [f]."""
+    gs = [ma.gb.coding.normalized(g, max(g)) for g in gs if g]
+    lines = frozenset(frozenset(g.items()) for g in gs)
+    if lines not in ma._rows:
+        ma._rows[lines] = _run_buchberger([c for c, _, _ in ma.gb._cores] + gs,
+                                          ma.gb.order, ma.gb.coding)
+    return ma._rows[lines]
+
+
+def _quotient_dimension(ma: MilnorAlgebra, *gs) -> int:
+    """dim K[x,y]/<f_x, f_y, g_1, ...> = dim V_f/(g_1, ...)."""
+    if not any(gs):
         return ma.mu
-    g = ma.gb.coding.normalized(g, max(g))
-    line = frozenset(g.items())
-    if line not in ma._dims:
-        rows = _run_buchberger([c for c, _, _ in ma.gb._cores] + [g],
-                               ma.gb.order, ma.gb.coding)
-        ma._dims[line] = len(standard_monomials([_unpack(t) for _, t in rows],
-                                                ma.order))
-    return ma._dims[line]
+    rows = _quotient_rows(ma, *gs)
+    return len(standard_monomials([_unpack(t) for _, t in rows], ma.order))
+
+
+def unit_ideal(ma: MilnorAlgebra, *polys) -> bool:
+    """<f_x, f_y, f, polys> == (1)?  Each p is first reduced modulo tau's
+    basis of <f_x, f_y, f>: when nothing is left the ideal is that one, and
+    no run is made; else one run seeded with the Jacobian basis decides."""
+    fvec = _coded(ma, ma.f)[0]
+    tau_basis = list(zip(*_quotient_rows(ma, fvec)))
+    return _quotient_dimension(ma, fvec, *(groebner._normal_form_core(
+        _coded(ma, p)[0], *tau_basis, None, None, ma.gb.coding)[0] for p in polys)) == 0
 
 
 def tjurina_number(ma: MilnorAlgebra) -> int:

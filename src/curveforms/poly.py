@@ -122,6 +122,12 @@ class Polynomial:
     def _check(self, other: "Polynomial"):
         check_same_field(self.field, other.field)
 
+    def _like(self, terms) -> "Polynomial":
+        """A polynomial over this field with the given terms, unchecked."""
+        p = Polynomial.__new__(Polynomial)
+        p.field, p.terms = self.field, terms
+        return p
+
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -135,32 +141,15 @@ class Polynomial:
                 out.pop(m, None)
             else:
                 out[m] = s
-        p = Polynomial.__new__(Polynomial)
-        p.field, p.terms = self.field, out
-        return p
+        return self._like(out)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        zero = self.field.is_zero
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = -c if s is None else s - c
-            if zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-        p = Polynomial.__new__(Polynomial)
-        p.field, p.terms = self.field, out
-        return p
+        return self + -other
 
     def __neg__(self):
-        p = Polynomial.__new__(Polynomial)
-        p.field = self.field
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return self._like({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -180,9 +169,7 @@ class Polynomial:
                         out.pop(m, None)
                     else:
                         out[m] = s
-            p = Polynomial.__new__(Polynomial)
-            p.field, p.terms = self.field, out
-            return p
+            return self._like(out)
         if isinstance(other, int):
             return self.scale(self.field.from_int(other))
         if isinstance(other, (Rational, ExtElement)):
@@ -194,10 +181,7 @@ class Polynomial:
     def scale(self, coeff) -> "Polynomial":
         if self.field.is_zero(coeff):
             return Polynomial(self.field)
-        p = Polynomial.__new__(Polynomial)
-        p.field = self.field
-        p.terms = {m: c * coeff for m, c in self.terms.items()}
-        return p
+        return self._like({m: c * coeff for m, c in self.terms.items()})
 
     def __pow__(self, n: int):
         if n < 0:
@@ -352,10 +336,7 @@ class ModuleVector:
     def __sub__(self, other):
         if not isinstance(other, ModuleVector):
             return NotImplemented
-        if self.rank != other.rank:
-            raise RankMismatch("vector ranks differ")
-        return self._like(tuple(a - b for a, b in
-                                zip(self.components, other.components)))
+        return self + -other
 
     def __neg__(self):
         return self._like(tuple(-a for a in self.components))

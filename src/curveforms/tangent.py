@@ -4,9 +4,9 @@ invariant, i.e. all w = P dx + Q dy with df ^ w divisible by f.
 A form is tangent exactly when f_x*Q - f_y*P lies in <f>, so the module is
 the projection to (P, Q) of the relations among (-f_y, f_x, f).  On top of
 that raw construction sit: the distinguished 1-form built from a kernel
-witness theta (f*theta = A*f_x + B*f_y gives -B dx + A dy), generation
-verification by reduction to zero, greedy irredundant generating sets, and
-the Saito wedge test for freeness.
+witness theta (f*theta = A*f_x + B*f_y gives -B dx + A dy), the relations
+from a candidate's lifts, generation verification by reduction to zero,
+greedy irredundant generating sets, and the Saito wedge test for freeness.
 
 Each constructed form is certified once, by the identity that builds it:
 a raw form by its relation row, the kernel form by df ^ omega = theta*f, and
@@ -51,6 +51,7 @@ class GeneratorSet:
     kind: str  # trivial_smooth | four_generator | syzygy_raw | minimal
     forms: list
     f: Polynomial
+    theta: Optional[Polynomial] = None  # four_generator: df ^ omega = theta*f
 
     def __len__(self):
         return len(self.forms)
@@ -60,22 +61,56 @@ class GeneratorSet:
         return f"<{self.kind}: {body}>"
 
 
-def syzygy_generators(f: Polynomial, order=None) -> GeneratorSet:
-    """Raw generating set of the full tangent module via relations among
-    (-f_y, f_x, f).  Each relation (p, q, c) is checked exactly, and
-    q*f_x - p*f_y + c*f = 0 certifies (p, q) tangent; c is discarded."""
+def syzygy_generators(f: Polynomial, order=None, candidate=None,
+                      unit: Optional[bool] = None) -> GeneratorSet:
+    """Raw generating set of the tangent module: the (p, q) of the reduced
+    basis of the relations (p, q, c) among (-f_y, f_x, f).
+
+    The candidate (default: the trivial forms) lifts to relations in closed
+    form: f dx -> r_fdx = (f, 0, f_y), f dy -> r_fdy = (0, f, -f_x),
+    df -> r_df = (f_x, f_y, 0) and the omega of a four_generators set ->
+    r_w = (P_w, Q_w, -theta).  Let I = <f, f_x, f_y, theta, P_w, Q_w>
+    (<f, f_x, f_y> without omega).  For a relation s = (p, q, c) and
+    lam = (p*Q_w - q*P_w)/f:
+
+        f*s     = p*r_fdx + q*r_fdy
+        f_x*s   = p*r_df - c*r_fdy        f_y*s = q*r_df + c*r_fdx
+        theta*s = lam*r_df - c*r_w
+        P_w*s   = p*r_w - lam*r_fdy       Q_w*s = q*r_w + lam*r_fdx
+
+    lam is a polynomial: omega needs a finite Milnor number, which forces f
+    to be reduced (a square factor g^2 makes f_x and f_y vanish on g = 0),
+    and two forms tangent to a reduced curve are parallel along it, so f
+    divides their wedge.  So I*Syz lies in the module of the lifts: when
+    I = (1) their reduced basis under ModuleOrder(order.base, 3), one plain
+    run, is the unique reduced basis of Syz, and the candidate generates;
+    else the augmented run of syzygies gives it.  By the local form of K.
+    Saito's criterion ("Theory of logarithmic differential forms and
+    logarithmic vector fields", 1980) I = (1) exactly when the candidate
+    generates; only the choice of the fallback relies on that converse.
+    ``unit`` is I = (1) as a caller has proven it; None decides it by a run.
+    Each row is checked on engine vectors: q*f_x - p*f_y + c*f = 0.
+    """
     if f.is_constant():
         raise ZeroInput("need a non-constant polynomial")
-    fx, fy = f.diff("x"), f.diff("y")
-    rels = syzygies([-fy, fx, f], order)
-    forms = []
-    for rel in rels:
-        p, q, c = rel.components
-        if not (q * fx - p * fy + c * f).is_zero():
-            raise InvariantViolation("relation does not certify tangency")
-        if not (p.is_zero() and q.is_zero()):
-            forms.append(OneForm(p, q))
-    return GeneratorSet("syzygy_raw", forms, f)
+    fx, fy, zero = f.diff("x"), f.diff("y"), Polynomial.zero(f.field)
+    lifts, ideal = [(f, zero, fy), (zero, f, -fx), (fx, fy, zero)], [f, fx, fy]
+    if candidate is not None and candidate.theta is not None:
+        omega = candidate.forms[3]
+        lifts.append((omega.P, omega.Q, -candidate.theta))
+        ideal += lifts[3]
+    if unit is None:
+        unit = buchberger(ideal, order).leading_terms() == [(0, 0, 0)]
+    gens = [-fy, fx, f]
+    if unit:
+        rels = buchberger([ModuleVector(r) for r in lifts], order)
+    else:
+        rels = GroebnerBasis(syzygies(gens, order), ModuleOrder(order or TermOrder(), 3),
+                             f.field, 3)
+    if not rels.annihilates(gens):
+        raise InvariantViolation("relation does not certify tangency")
+    return GeneratorSet("syzygy_raw",
+                        [OneForm(*v.components[:2]) for v in rels.generators], f)
 
 
 def trivial_forms(f: Polynomial):
@@ -109,7 +144,7 @@ def four_generators(f: Polynomial, ma: MilnorAlgebra,
                     theta: Polynomial) -> GeneratorSet:
     """f dx, f dy, df and the kernel form omega_from_theta builds from theta."""
     omega = omega_from_theta(f, ma, theta)
-    return GeneratorSet("four_generator", trivial_forms(f) + [omega], f)
+    return GeneratorSet("four_generator", trivial_forms(f) + [omega], f, theta)
 
 
 @dataclass

@@ -5,9 +5,10 @@ of explicit matrix powers (Horner evaluation in matrix products, Bareiss
 rank) and the kernel condition from the rank of the spanning matrix.  The
 rest are the earlier field-scalar forms of the algebra's own algorithms:
 the Krylov minimal polynomial by an echelon solve over the field, Horner's
-rule on coordinate vectors, Euclid's gcd and Yun's squarefree split, and
-quotient dimensions from public Buchberger runs.  The library runs the same
-algorithms on the engine's integer coding; the tests compare them.
+rule on coordinate vectors, Euclid's gcd, long division and Yun's
+squarefree split, and quotient dimensions from public Buchberger runs.  The
+library runs the same algorithms on the engine's integer coding; the tests
+compare them.
 """
 
 from curveforms import Matrix, Polynomial, buchberger, matrix_min_poly
@@ -130,23 +131,32 @@ def euclid_gcd(a, b):
     return a.monic() if not a.is_zero() else a
 
 
+def field_exact_div(a, b):
+    """Quotient of an exact division by long division over the field."""
+    q, r = a.divmod(b)
+    if not r.is_zero():
+        raise ValueError("division is not exact")
+    return q
+
+
 def yun_squarefree(p):
-    """Yun's algorithm on euclid_gcd; (monic squarefree factor, multiplicity)."""
+    """Yun's algorithm on euclid_gcd and field_exact_div; (monic squarefree
+    factor, multiplicity)."""
     p = p.monic()
     if p.degree() == 0:
         return []
     out = []
     g = euclid_gcd(p, p.derivative())
-    w = p.exact_div(g)
-    y = p.derivative().exact_div(g)
+    w = field_exact_div(p, g)
+    y = field_exact_div(p.derivative(), g)
     z = y - w.derivative()
     i = 1
     while w.degree() > 0:
         gi = euclid_gcd(w, z)
         if gi.degree() > 0:
             out.append((gi, i))
-        w = w.exact_div(gi)
-        y = z.exact_div(gi)
+        w = field_exact_div(w, gi)
+        y = field_exact_div(z, gi)
         z = y - w.derivative()
         i += 1
     return out

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from curveforms import (QQ, Weights, analyze, groebner, milnor,
-                        parse_polynomial, tangent)
+from curveforms import (QQ, ModuleVector, TermOrder, Weights, analyze,
+                        groebner, milnor, parse_polynomial, tangent)
 from curveforms.poly import field_from_minpoly
 
 
@@ -160,10 +160,10 @@ def test_analyze_checks_tameness_once(monkeypatch):
 
 TRACKED_CASES = [
     # (f, minimal polynomial, augmented runs, verify_generation calls)
-    ("x*y-1", None, 0, 1),          # tau = 0: only the free pair's back check
-    ("x^5+y^5-x^2*y^2", None, 2, 1),  # omega's membership and the syzygies
-    ("x^4+2*y^4+x^2-x*y^2+2*x*y-3*y^3", "z^2+1", 2, 1),
-    ("x^3+y^3+(2+z)*x*y-z", "z^2+1", 0, 0),  # tau = 0, no free pair
+    ("x*y-1", None, 0, 0),          # tau = 0 proves the unit ideal
+    ("x^5+y^5-x^2*y^2", None, 2, 1),  # omega's membership and the fallback
+    ("x^4+2*y^4+x^2-x*y^2+2*x*y-3*y^3", "z^2+1", 1, 0),  # omega's membership
+    ("x^3+y^3+(2+z)*x*y-z", "z^2+1", 0, 0),
 ]
 
 
@@ -173,13 +173,27 @@ def test_analyze_tracks_and_decodes_only_what_it_reads(monkeypatch, text,
                                                        minpoly, augmented,
                                                        verified):
     # the Jacobian basis is untracked and only omega's membership certificate
-    # tracks cofactors; generation is decided on an untracked basis, and not
-    # at all when tau = 0; a basis is decoded to field scalars only when its
-    # generators are read: here only the basis that minimal_generators turns
-    # into the reported forms
-    runs, bases, verifications = [], [], []
+    # tracks cofactors; the relations come from the candidate's lifts, and
+    # generation is decided by a run only when the candidate falls back to
+    # the augmented run; a basis is decoded to field scalars only when its
+    # generators are read: the basis that minimal_generators turns into the
+    # reported forms and, on the route, the lifts' basis whose rows are the
+    # raw forms
+    fld = field_from_minpoly(minpoly) if minpoly else QQ
+    f = parse_polynomial(text, fld)
+    coding, order = groebner._coding(fld), groebner.ModuleOrder(TermOrder())
+
+    def lines(seeds):
+        return frozenset(frozenset(coding.normalized(v, max(v)).items()) for v in seeds)
+    # the seeds of a run for <f, f_x, f_y>: those polynomials, or the
+    # Jacobian basis and the class of f, as tjurina_number seeds its run
+    ma = milnor.milnor_algebra(f)
+    on_f = {lines(groebner._seeds([ModuleVector((p,)) for p in (f, f.diff("x"), f.diff("y"))],
+                                  coding, order)),
+            lines([c for c, _, _ in ma.gb._cores] + [milnor._coded(ma, f)[0]])}
+    runs, bases, verifications, rank_one = [], [], [], []
     original_run, original_buchberger = groebner._augmented_run, groebner.buchberger
-    original_verify = tangent.verify_generation
+    original_verify, original_plain = tangent.verify_generation, groebner._run_buchberger
 
     def recording_run(*args):
         runs.append(args)
@@ -192,15 +206,24 @@ def test_analyze_tracks_and_decodes_only_what_it_reads(monkeypatch, text,
     def recording_verify(*args):
         verifications.append(args)
         return original_verify(*args)
+
+    def recording_plain(seeds, run_order, coding):
+        rows = original_plain(seeds, run_order, coding)
+        if run_order.rank == 1:
+            rank_one.append(lines(seeds))
+        return rows
     monkeypatch.setattr(groebner, "_augmented_run", recording_run)
     for module in (groebner, milnor, tangent):
         monkeypatch.setattr(module, "buchberger", recording_buchberger)
+    for module in (groebner, milnor):
+        monkeypatch.setattr(module, "_run_buchberger", recording_plain)
     monkeypatch.setattr(tangent, "verify_generation", recording_verify)
-    fld = field_from_minpoly(minpoly) if minpoly else QQ
-    analyze(parse_polynomial(text, fld))
+    analyze(f)
     assert len(runs) == augmented
     assert len(verifications) == verified
+    # tjurina_number's run is the only one on <f, f_x, f_y>
+    assert sum(seeds in on_f for seeds in rank_one) == 1
     # check_tame, milnor_algebra and minimal_generators build one basis each,
     # and each verify_generation one more
     decoded = [gb for gb in bases if "generators" in vars(gb)]
-    assert len(bases) >= 3 + verified and len(decoded) == 1
+    assert len(bases) >= 3 + verified and len(decoded) == 2 - verified

@@ -7,22 +7,26 @@ forms.  Verdicts, witnesses and minimal forms must be equal on every corpus
 curve with a finite Jacobian quotient and on drawn tame curves over Q and
 Q(i), including the curves where the four forms do not generate.
 
-analyze decides generation without a run when tau = 0; its verdict must
-still equal the reference's, on these curves and on the golden inputs.
+analyze takes its raw set from the lifts of its candidate when it proves
+that they generate, and falls back to the augmented run and a generation
+run exactly when the reference says the candidate does not generate; the
+raw set is the augmented run's, and the verdict the reference's, on these
+curves and on the golden inputs.
 """
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from curveforms import (QQ, GeneratorSet, Polynomial, TermOrder, Weights,
-                        analyze, format_polynomial, minimal_generators,
+from curveforms import (QQ, OneForm, Polynomial, TermOrder, Weights, analyze,
+                        format_polynomial, minimal_generators,
                         parse_polynomial, syzygy_generators, tangent,
                         verify_generation)
 from curveforms.poly import field_from_minpoly
 import generation_oracle as oracle
 from conftest import tame_curves, through_origin
 from record_golden import CASES
+from test_kernel_oracle import augmented_syzygies
 from test_milnor_oracle import CORPUS_CURVES
 
 GAUSSIAN = field_from_minpoly("z^2+1")
@@ -32,33 +36,47 @@ def assert_matches_oracle(f, weights=(1, 1), allow_untame=True):
     """Returns whether the candidate of analyze generates the module, or
     None when analyze stops at a curve that is not tame."""
     order = TermOrder(Weights(*weights))
-    verified = []
-    original = tangent.verify_generation
+    verified, fallbacks, raws = [], [], []
+    original_verify, original_syzygies = tangent.verify_generation, tangent.syzygies
+    original_raw = tangent.syzygy_generators
 
     def recording(candidate, reference):
         verified.append(candidate)
-        return original(candidate, reference)
+        return original_verify(candidate, reference)
+
+    def recording_syzygies(*args):
+        fallbacks.append(args)
+        return original_syzygies(*args)
+
+    def recording_raw(*args):
+        raws.append(original_raw(*args))
+        return raws[-1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tangent, "verify_generation", recording)
+        mp.setattr(tangent, "syzygies", recording_syzygies)
+        mp.setattr(tangent, "syzygy_generators", recording_raw)
         rep = analyze(f, Weights(*weights), allow_untame=allow_untame)
     if rep.generation is None:
-        assert not rep.tame and not verified
+        assert not rep.tame and not verified and not raws
         return None
     candidate = rep.four if rep.exponent else rep.trivial
+    # the relation rows of the augmented run, projected to (p, q), are the
+    # raw set of analyze and of the library path
+    fx, fy = f.diff("x"), f.diff("y")
+    rows = augmented_syzygies([-fy, fx, f], order)
     raw = syzygy_generators(f, order)
+    assert raws[0].forms == raw.forms == [OneForm(*r.components[:2]) for r in rows]
     mini = minimal_generators(raw, order)
     assert mini.forms == oracle.minimal_generators(raw, order).forms
     for cand, ref in [(candidate, raw), (raw, candidate), (mini, raw)]:
         verdict = verify_generation(cand, ref)
         assert (verdict.generates, verdict.witness) == oracle.verify_generation(cand, ref)[:2]
-    # the report's verdict is the reference's, though the candidate is
-    # checked by a run exactly when tau > 0 (the free pair's back check
-    # passes a list, the candidate a GeneratorSet)
     generates, witness, _ = oracle.verify_generation(candidate, raw)
     assert rep.generation["generates"] == generates
     assert rep.generation["witness"] == (None if generates else {
         "P": format_polynomial(witness.P), "Q": format_polynomial(witness.Q)})
-    assert any(isinstance(c, GeneratorSet) for c in verified) == (rep.tau > 0)
+    # the route falls back exactly when the candidate does not generate
+    assert len(fallbacks) == len(verified) == (0 if generates else 1)
     return generates
 
 

@@ -44,8 +44,8 @@ _AUGMENTED_RUN = groebner._augmented_run
 
 
 def augmented_syzygies(gens, order=None):
-    """The relation rows of the augmented run, the route syzygies takes when
-    the inputs do not generate (1); kept as the oracle of the Koszul route."""
+    """The relation rows of the augmented run, which syzygy_generators falls
+    back to; kept as the oracle of the route from the lifted forms."""
     return _AUGMENTED_RUN(*groebner._prepare(gens, order))[1]
 
 
@@ -118,12 +118,9 @@ def test_corpus_curve_matches_oracle(text, weights, minpoly):
     assert syzygies(gens) == oracle.syzygies(gens)
     assert_field_scalars(*syzygies(gens))
     assert syzygies(gens, TermOrder(weights)) == oracle.syzygies(gens, TermOrder(weights))
-    # a smooth affine curve (tau = 0) takes the Koszul route, and its rows
-    # are those of the augmented run
-    with augmented_runs() as runs:
-        rows = syzygies(gens, TermOrder(weights))
-    assert rows == augmented_syzygies(gens, TermOrder(weights))
-    assert len(runs) == (0 if generates_one(gens) else 1)
+    # the library path takes its rows from the lifts of f dx, f dy and df
+    # when <f, f_x, f_y> = (1), and they are those of the augmented run
+    assert_route_matches(f, TermOrder(weights), generates_one(gens))
 
 
 # -- drawn inputs over Q, Q(i) and the cubic field, rank 1 and rank 2 ------------
@@ -238,37 +235,43 @@ def test_tracked_and_untracked_remainders_agree(case):
         assert gb.reduces_to_zero(probe) == rem.is_zero()
 
 
-# -- the Koszul route of syzygies against the augmented run -------------------
+# -- the route of syzygy_generators against the augmented run ----------------
+
+def assert_route_matches(f, order, route):
+    """syzygy_generators(f, order) gives the (p, q) of the augmented run's
+    relations among (-f_y, f_x, f), and runs it only when the route is not
+    taken."""
+    gens = [-f.diff("y"), f.diff("x"), f]
+    rows = augmented_syzygies(gens, order)
+    for row in rows:
+        assert recombine(row.components, gens).is_zero()
+    with augmented_runs() as runs:
+        raw = syzygy_generators(f, order)
+    assert raw.forms == [OneForm(*row.components[:2]) for row in rows]
+    assert_field_scalars(*(w.P for w in raw.forms), *(w.Q for w in raw.forms))
+    assert len(runs) == (0 if route else 1)
+
 
 @st.composite
-def rank_one_inputs(draw):
-    """s = 2..4 polynomials; with ``unit`` the last one is c plus a
-    combination of the others, c a nonzero constant, so they generate (1)."""
+def drawn_curves(draw):
+    """A polynomial over Q, Q(i) or the cubic field; half the time the
+    product of two drawn polynomials, singular where they meet."""
     field = draw(st.sampled_from(FIELDS))
-    s = draw(st.integers(2, 4))
-    gens = [draw(polys(field)) for _ in range(s)]
-    unit = draw(st.booleans())
-    if unit:
-        c = Polynomial.constant(draw(st.sampled_from([1, -2, 3])), field)
-        for g in gens[:-1]:
-            c = c + draw(polys(field)) * g
-        gens[-1] = c
-    return gens, TermOrder(draw(st.sampled_from(WEIGHTS[:3]))), unit
+    f = draw(polys(field))
+    if draw(st.booleans()):
+        f = f * draw(polys(field))
+    return f, TermOrder(draw(st.sampled_from(WEIGHTS[:3])))
 
 
 @settings(max_examples=180, deadline=None)
-@given(rank_one_inputs())
+@given(drawn_curves())
 def test_koszul_route_matches_augmented_run(case):
-    gens, order, unit = case
-    with augmented_runs() as runs:
-        rows = syzygies(gens, order)
-    assert rows == augmented_syzygies(gens, order)
-    assert_field_scalars(*rows)
-    assert len(runs) == (0 if generates_one(gens) else 1)
-    if unit:
-        assert not runs
-    for row in rows:
-        assert recombine(row.components, gens).is_zero()
+    # the library path lifts the trivial forms: the Koszul rows of
+    # (-f_y, f_x, f), which generate every relation when <f, f_x, f_y> = (1)
+    f, order = case
+    if f.is_constant():
+        return
+    assert_route_matches(f, order, generates_one([f, f.diff("x"), f.diff("y")]))
 
 
 @pytest.mark.parametrize("text,koszul", [
@@ -276,23 +279,20 @@ def test_koszul_route_matches_augmented_run(case):
     ("x^5+y^5-x^2*y^2", False), ("x^7+y^7-x^2*y^2", False),
     ("(x^3-1)*(y^3-1)*(x^3-y^3)", False)])
 def test_route_follows_the_unit_ideal(text, koszul):
-    f = parse_polynomial(text)
-    gens = [-f.diff("y"), f.diff("x"), f]
-    with augmented_runs() as runs:
-        rows = syzygies(gens)
-    assert rows == augmented_syzygies(gens)
-    assert len(runs) == (0 if koszul else 1)
+    assert_route_matches(parse_polynomial(text), None, koszul)
 
 
 @pytest.mark.parametrize("koszul", [True, False])
 def test_zero_generator_on_either_route(koszul):
+    # syzygies has one route, the augmented run, whether or not the inputs
+    # generate (1)
     x, y = Polynomial.variable("x"), Polynomial.variable("y")
     zero, one = Polynomial.zero(), Polynomial.constant(1)
     gens = [x, zero, x + one if koszul else y]
     with augmented_runs() as runs:
         rows = syzygies(gens)
     assert rows == augmented_syzygies(gens)
-    assert len(runs) == (0 if koszul else 1)
+    assert len(runs) == 1
     # the zero generator's own unit vector is a relation of degree 0
     assert ModuleVector((zero, one, zero)) in rows
 
@@ -308,11 +308,9 @@ def test_all_zero_generators_take_the_augmented_run():
 @pytest.mark.parametrize("n", [6, 9])
 def test_deformed_sextic_and_nonic_finish(n):
     f = parse_polynomial(f"x^{n}+y^{n}-x^2*y^2+3*x^3*y-1")
-    fx, fy = f.diff("x"), f.diff("y")
-    for p, q, c in (row.components for row in syzygies([-fy, fx, f])):
-        assert (q * fx - p * fy + c * f).is_zero()
-    raw = syzygy_generators(f)
-    assert len(raw) == 3
+    with augmented_runs() as runs:
+        raw = syzygy_generators(f)
+    assert not runs and len(raw) == 3
     assert verify_generation(trivial_forms(f), raw).generates
     assert verify_generation(raw, trivial_forms(f)).generates
 

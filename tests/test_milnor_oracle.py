@@ -145,3 +145,36 @@ def test_gcd_and_squarefree_match_euclid(field, data):
     assert a.gcd(b) == oracle.euclid_gcd(a, b)
     assert a.gcd(UniPoly.zero(field)) == oracle.euclid_gcd(a, UniPoly.zero(field))
     assert a.squarefree_decompose() == oracle.yun_squarefree(a)
+
+
+@pytest.mark.parametrize("field", [QQ, GAUSSIAN, CUBIC], ids=["Q", "Q(i)", "cubic"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_exact_division_matches_long_division(field, data):
+    a = data.draw(factored_polys(field))
+    b = data.draw(factored_polys(field))
+    assert (a * b).exact_div(b) == oracle.field_exact_div(a * b, b) == a
+    assert UniPoly.zero(field).exact_div(b).is_zero()
+    if b.degree() > 0:
+        with pytest.raises(ValueError):
+            (a * b + UniPoly.one(field)).exact_div(b)
+
+
+@pytest.mark.parametrize("text,weights,minpoly", CORPUS_CURVES,
+                         ids=[c[0] for c in CORPUS_CURVES])
+def test_corpus_minimal_polynomial_squarefree_matches_yun(text, weights, minpoly):
+    field = field_from_minpoly(minpoly) if minpoly else QQ
+    ma = milnor_algebra(parse_polynomial(text, field), Weights(*weights),
+                        allow_untame=True)
+    p = min_poly(multiplication_operator(ma))
+    assert p.squarefree_decompose() == oracle.yun_squarefree(p)
+    if field is QQ:
+        sympy = pytest.importorskip("sympy")
+        t = sympy.symbols("t")
+
+        def sym(u):
+            return sympy.Poly([sympy.Rational(int(c.numerator), int(c.denominator))
+                               for c in reversed(u.coeffs)], t, domain="QQ")
+        _, pairs = sympy.sqf_list(sym(p).monic())
+        assert {(fac.monic(), m) for fac, m in pairs} == {
+            (sym(fac), m) for fac, m in p.squarefree_decompose()}

@@ -4,10 +4,11 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
-from curveforms import (InvalidInput, InvariantViolation, Membership,
-                        ModuleVector, NotHomogeneous, NotInJacobian, NotSmooth,
-                        NotTangent, OneForm, Polynomial, QQ, TermOrder, Weights,
-                        analyze, buchberger, exponent, exterior_derivative,
+from curveforms import (GeneratorSet, InvalidInput, InvariantViolation,
+                        Membership, ModuleVector, NotHomogeneous,
+                        NotInJacobian, NotSmooth, NotTangent, OneForm,
+                        Polynomial, QQ, TermOrder, Weights, analyze,
+                        buchberger, exponent, exterior_derivative,
                         field_from_minpoly, four_generators, is_tangent,
                         membership, milnor_algebra, min_poly,
                         minimal_generators, multiplication_operator,
@@ -80,6 +81,37 @@ def test_corrupted_relation_is_an_invariant_violation(monkeypatch, capsys):
         syzygy_generators(_p(ACAMPO))
     # an engine fault, not bad input: exit 3
     assert cli.main(["analyze", "-f", ACAMPO]) == 3
+    assert "relation does not certify tangency" in capsys.readouterr().err
+
+
+def _corrupt(candidate, part):
+    """The candidate with f added to theta, P_w or Q_w: the ideal
+    <f, f_x, f_y, theta, P_w, Q_w> stays the same, so the route is still
+    taken, but the lift of omega is no relation."""
+    f, omega, theta = candidate.f, candidate.forms[3], candidate.theta
+    if part == "theta":
+        theta = theta + f
+    else:
+        omega = (OneForm(omega.P + f, omega.Q) if part == "P"
+                 else OneForm(omega.P, omega.Q + f))
+    return GeneratorSet("four_generator", candidate.forms[:3] + [omega], f, theta)
+
+
+@pytest.mark.parametrize("part", ["theta", "P", "Q"])
+def test_corrupted_kernel_lift_is_an_invariant_violation(monkeypatch, capsys, part):
+    text = "x^4+2*y^4+x^2-x*y^2+2*x*y-3*y^3"
+    f = _p(text)
+    ma = milnor_algebra(f)
+    candidate = four_generators(f, ma, theta_polynomial(ma, multiplication_operator(ma)))
+    assert len(syzygy_generators(f, None, candidate)) == len(syzygy_generators(f))
+    for unit in (None, True):
+        with pytest.raises(InvariantViolation):
+            syzygy_generators(f, None, _corrupt(candidate, part), unit)
+    original = tangent.four_generators
+    monkeypatch.setattr(tangent, "four_generators",
+                        lambda *args: _corrupt(original(*args), part))
+    # an engine fault, not bad input: exit 3
+    assert cli.main(["analyze", "-f", text]) == 3
     assert "relation does not certify tangency" in capsys.readouterr().err
 
 
