@@ -252,7 +252,7 @@ def analyze(f: Polynomial, weights: Weights = Weights(1, 1), *,
     timings["generation"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    mini = tangent.minimal_generators(raw, order)
+    mini = tangent.minimal_generators(raw)
     report.minimal = mini.forms
     if len(mini) == 2:
         # a free pair generates: a tangent w has c*f*w = (w ^ w_inf)*w_0 +

@@ -37,7 +37,7 @@ from operator import sub
 from types import SimpleNamespace
 from typing import Optional
 
-from .errors import InvalidInput, RankMismatch
+from .errors import InvalidInput, InvariantViolation, RankMismatch
 from .field import ExtElement, Rational, check_same_field
 from .poly import ModuleVector, Polynomial, TermOrder
 
@@ -448,6 +448,20 @@ class GroebnerBasis:
                 return False
         return True
 
+    def projected(self, rank: int) -> "GroebnerBasis":
+        """The first ``rank`` positions, under order.restricted(rank), of a basis
+        without an elimination block whose leading terms all lie there.  A
+        standard representation puts every element's leading term at a basis
+        leading term, so the projection is injective and keeps leading terms,
+        and the projected generators, which lose only tail terms, are reduced."""
+        coding, cores, low = self.coding, [], _PMASK - rank  # pos packs as _PMASK - pos
+        for core, t, _ in self._cores:
+            if t >> _S_POS & _PMASK <= low:
+                raise InvariantViolation(f"leading term {_unpack(t)} beyond rank {rank}")
+            v = coding.normalized({s: c for s, c in core.items() if s >> _S_POS & _PMASK > low}, t)
+            cores.append((v, t, Rational(coding.lead(v[t]))))
+        return GroebnerBasis(None, self.order.restricted(rank), self.field, rank, None, cores)
+
     def irredundant(self, candidates) -> set:
         """Indices of the generators kept by greedy pruning: each candidate in
         turn goes if a run on the engine vectors of the rest generates it."""
@@ -501,27 +515,24 @@ def buchberger(gens, order=None, track_cofactors: bool = False) -> GroebnerBasis
     """
     vecs, rank, field, order = _prepare(gens, order)
     coding = _coding(field)
+    transform = None
     if not track_cofactors:
         seeds = _seeds(vecs, coding, order)
         if not seeds:
             raise InvalidInput("all generators are zero")
-        rows = [(core, t, None) for core, t in _run_buchberger(seeds, order, coding)]
+        rows = _run_buchberger(seeds, order, coding)
     else:
         rows, _ = _augmented_run(vecs, rank, field, order)
-        order = order.restricted(rank)
-    cores = [(core, t, Rational(coding.lead(core[t]))) for core, t, _ in rows]
-    transform = [tags for _, _, tags in rows] if track_cofactors else None
+        order, transform = order.restricted(rank), [tags for _, _, tags in rows]
+    cores = [(core, t, Rational(coding.lead(core[t]))) for core, t, *_ in rows]
     return GroebnerBasis(None, order, field, rank, transform, cores)
 
 
 def _augmented_run(vecs, rank, field, order):
-    """Shared augmented computation.
-
-    Returns (basis_rows, syzygy_rows): basis_rows are (vector, leading code,
-    tag polys) for elements with a nonzero original block, packed for the
-    restricted order; syzygy_rows are rank-s ModuleVectors spanning all
-    relations among the inputs.
-    """
+    """Shared augmented computation: (basis_rows, syzygy_rows), basis_rows the
+    (vector, leading code, tag polys) of the elements with a nonzero original
+    block, packed for the restricted order, and syzygy_rows the rank-s
+    ModuleVectors spanning all relations among the inputs."""
     s = len(vecs)
     aug_order = ModuleOrder(order.base, rank + s, elim=rank)
     coding = _coding(field)
@@ -532,15 +543,14 @@ def _augmented_run(vecs, rank, field, order):
         seeds.append(coding.encode(core)[0])
     basis_rows, syzygy_rows = [], []
     for core, lt in _run_buchberger(seeds, aug_order, coding):
-        public = _public(core, lt, coding)
+        tags = _core_vec(_public(core, lt, coding), s, field, start=rank)
         if lt & _ELIM:
             # the first block; dropping the flag packs it for order.restricted
             first = {t - _ELIM: c for t, c in core.items() if t & _ELIM}
-            tags = _core_vec(public, s, field, start=rank)
             basis_rows.append((coding.normalized(first, lt - _ELIM), lt - _ELIM,
                                list(tags.components)))
         else:
-            syzygy_rows.append(_core_vec(public, s, field, start=rank))
+            syzygy_rows.append(tags)
     return basis_rows, syzygy_rows
 
 

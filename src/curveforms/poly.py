@@ -443,15 +443,15 @@ def _tokenize(text: str):
         if ch.isspace():
             k += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # not str.isdigit(), which takes superscripts too
             start = k
-            while k < n and text[k].isdigit():
+            while k < n and "0" <= text[k] <= "9":
                 k += 1
             tokens.append(("int", text[start:k], start))
             continue
         if ch in _SYMBOL_CHARS:
             start = k
-            while k < n and (text[k] in _SYMBOL_CHARS or text[k].isdigit()):
+            while k < n and (text[k] in _SYMBOL_CHARS or "0" <= text[k] <= "9"):
                 k += 1
             tokens.append(("sym", text[start:k], start))
             continue

@@ -2,11 +2,12 @@
 invariant, i.e. all w = P dx + Q dy with df ^ w divisible by f.
 
 A form is tangent exactly when f_x*Q - f_y*P lies in <f>, so the module is
-the projection to (P, Q) of the relations among (-f_y, f_x, f).  On top of
-that raw construction sit: the distinguished 1-form built from a kernel
-witness theta (f*theta = A*f_x + B*f_y gives -B dx + A dy), the relations
-from a candidate's lifts, generation verification by reduction to zero,
-greedy irredundant generating sets, and the Saito wedge test for freeness.
+the projection to (P, Q) of the relations among (-f_y, f_x, f), and its
+reduced basis is the projection of theirs (see minimal_generators).  On top
+of that raw construction sit: the kernel form built from a witness theta
+(f*theta = A*f_x + B*f_y gives -B dx + A dy), the relations from a
+candidate's lifts, generation verification by reduction to zero, greedy
+irredundant generating sets, and the Saito wedge test for freeness.
 
 Each constructed form is certified once, by the identity that builds it:
 a raw form by its relation row, the kernel form by df ^ omega = theta*f, and
@@ -16,7 +17,7 @@ is_tangent checks forms from outside these constructors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 from .errors import (InvalidInput, InvariantViolation, NotHomogeneous,
@@ -52,13 +53,10 @@ class GeneratorSet:
     forms: list
     f: Polynomial
     theta: Optional[Polynomial] = None  # four_generator: df ^ omega = theta*f
+    basis: Optional[GroebnerBasis] = dc_field(default=None, compare=False, repr=False)
 
     def __len__(self):
         return len(self.forms)
-
-    def __str__(self):
-        body = "; ".join(format_one_form(w) for w in self.forms)
-        return f"<{self.kind}: {body}>"
 
 
 def syzygy_generators(f: Polynomial, order=None, candidate=None,
@@ -89,8 +87,8 @@ def syzygy_generators(f: Polynomial, order=None, candidate=None,
     logarithmic vector fields", 1980) I = (1) exactly when the candidate
     generates; only the choice of the fallback relies on that converse.
     ``unit`` is I = (1) as a caller has proven it; None decides it by a run.
-    Each row is checked on engine vectors: q*f_x - p*f_y + c*f = 0.
-    """
+    Each row is checked on engine vectors: q*f_x - p*f_y + c*f = 0.  The set
+    carries their projection to (p, q) as its basis and its forms."""
     if f.is_constant():
         raise ZeroInput("need a non-constant polynomial")
     fx, fy, zero = f.diff("x"), f.diff("y"), Polynomial.zero(f.field)
@@ -109,8 +107,8 @@ def syzygy_generators(f: Polynomial, order=None, candidate=None,
                              f.field, 3)
     if not rels.annihilates(gens):
         raise InvariantViolation("relation does not certify tangency")
-    return GeneratorSet("syzygy_raw",
-                        [OneForm(*v.components[:2]) for v in rels.generators], f)
+    gb = rels.projected(2)
+    return GeneratorSet("syzygy_raw", [OneForm(*v.components) for v in gb.generators], f, basis=gb)
 
 
 def trivial_forms(f: Polynomial):
@@ -169,21 +167,20 @@ def verify_generation(candidate, reference) -> GenerationResult:
     return GenerationResult(True)
 
 
-def minimal_generators(gens: GeneratorSet, order=None) -> GeneratorSet:
-    """Greedy pruning of an inter-reduced basis of the module.
-
-    Candidates are the reduced Groebner basis elements; removal is attempted
-    from the largest candidate down, so low-degree generators survive.  The
-    result is irredundant: nothing in it lies in the span of the rest.
-    """
-    if not gens.forms:
-        raise ZeroInput("empty generating set")
-    gb = buchberger(gens.forms, order)
-    forms = [OneForm(*v.components) for v in gb.generators]
-    keys = [(w.total_degree(), format_one_form(w)) for w in forms]
-    ascending = sorted(range(len(forms)), key=keys.__getitem__)
-    kept = gb.irredundant(reversed(ascending))
-    return GeneratorSet("minimal", [forms[k] for k in ascending if k in kept], gens.f)
+def minimal_generators(gens: GeneratorSet) -> GeneratorSet:
+    """Greedy pruning of the basis of a syzygy_generators set, the reduced
+    basis of the tangent module: from c*f = f_y*p - f_x*q, wdeg c <=
+    max(wdeg p - a2, wdeg q - a1) < max(wdeg p, wdeg q) under weights (a1, a2),
+    and the order compares weighted degree first, so a relation (p, q, c) has
+    its leading term at p or q and GroebnerBasis.projected applies.  Removal
+    goes from the largest candidate down, so low-degree generators survive;
+    nothing in the result lies in the span of the rest."""
+    if gens.basis is None:
+        raise InvalidInput("minimal generators prune the basis of a syzygy_generators set")
+    keys = [(w.total_degree(), format_one_form(w)) for w in gens.forms]
+    ascending = sorted(range(len(gens)), key=keys.__getitem__)
+    kept = gens.basis.irredundant(reversed(ascending))
+    return GeneratorSet("minimal", [gens.forms[k] for k in ascending if k in kept], gens.f)
 
 
 @dataclass

@@ -159,26 +159,27 @@ def test_analyze_checks_tameness_once(monkeypatch):
 
 
 TRACKED_CASES = [
-    # (f, minimal polynomial, augmented runs, verify_generation calls)
-    ("x*y-1", None, 0, 0),          # tau = 0 proves the unit ideal
-    ("x^5+y^5-x^2*y^2", None, 2, 1),  # omega's membership and the fallback
-    ("x^4+2*y^4+x^2-x*y^2+2*x*y-3*y^3", "z^2+1", 1, 0),  # omega's membership
-    ("x^3+y^3+(2+z)*x*y-z", "z^2+1", 0, 0),
+    # (f, minimal polynomial, augmented runs, verify_generation calls,
+    #  buchberger calls)
+    ("x*y-1", None, 0, 0, 3),          # tau = 0 proves the unit ideal
+    ("x^5+y^5-x^2*y^2", None, 2, 1, 4),  # omega's membership and the fallback
+    ("x^4+2*y^4+x^2-x*y^2+2*x*y-3*y^3", "z^2+1", 1, 0, 4),  # omega's membership
+    ("x^3+y^3+(2+z)*x*y-z", "z^2+1", 0, 0, 3),
 ]
 
 
-@pytest.mark.parametrize("text, minpoly, augmented, verified", TRACKED_CASES,
-                         ids=[f"{t}-{m}-{a}" for t, m, a, _ in TRACKED_CASES])
+@pytest.mark.parametrize("text, minpoly, augmented, verified, built", TRACKED_CASES,
+                         ids=[f"{t}-{m}-{a}" for t, m, a, _, _ in TRACKED_CASES])
 def test_analyze_tracks_and_decodes_only_what_it_reads(monkeypatch, text,
                                                        minpoly, augmented,
-                                                       verified):
+                                                       verified, built):
     # the Jacobian basis is untracked and only omega's membership certificate
     # tracks cofactors; the relations come from the candidate's lifts, and
     # generation is decided by a run only when the candidate falls back to
-    # the augmented run; a basis is decoded to field scalars only when its
-    # generators are read: the basis that minimal_generators turns into the
-    # reported forms and, on the route, the lifts' basis whose rows are the
-    # raw forms
+    # the augmented run; the minimal stage prunes the raw set's basis, the
+    # projection of the relation basis, without a run of its own, and the
+    # reported forms are decoded from that projection, so no basis that
+    # buchberger returns is decoded to field scalars
     fld = field_from_minpoly(minpoly) if minpoly else QQ
     f = parse_polynomial(text, fld)
     coding, order = groebner._coding(fld), groebner.ModuleOrder(TermOrder())
@@ -191,9 +192,10 @@ def test_analyze_tracks_and_decodes_only_what_it_reads(monkeypatch, text,
     on_f = {lines(groebner._seeds([ModuleVector((p,)) for p in (f, f.diff("x"), f.diff("y"))],
                                   coding, order)),
             lines([c for c, _, _ in ma.gb._cores] + [milnor._coded(ma, f)[0]])}
-    runs, bases, verifications, rank_one = [], [], [], []
+    runs, bases, verifications, rank_one, pruning = [], [], [], [], []
     original_run, original_buchberger = groebner._augmented_run, groebner.buchberger
     original_verify, original_plain = tangent.verify_generation, groebner._run_buchberger
+    original_minimal = tangent.minimal_generators
 
     def recording_run(*args):
         runs.append(args)
@@ -207,6 +209,12 @@ def test_analyze_tracks_and_decodes_only_what_it_reads(monkeypatch, text,
         verifications.append(args)
         return original_verify(*args)
 
+    def recording_minimal(*args):
+        before = len(bases)
+        pruning.append(original_minimal(*args))
+        assert len(bases) == before
+        return pruning[-1]
+
     def recording_plain(seeds, run_order, coding):
         rows = original_plain(seeds, run_order, coding)
         if run_order.rank == 1:
@@ -218,12 +226,12 @@ def test_analyze_tracks_and_decodes_only_what_it_reads(monkeypatch, text,
     for module in (groebner, milnor):
         monkeypatch.setattr(module, "_run_buchberger", recording_plain)
     monkeypatch.setattr(tangent, "verify_generation", recording_verify)
-    analyze(f)
+    monkeypatch.setattr(tangent, "minimal_generators", recording_minimal)
+    rep = analyze(f)
     assert len(runs) == augmented
     assert len(verifications) == verified
     # tjurina_number's run is the only one on <f, f_x, f_y>
     assert sum(seeds in on_f for seeds in rank_one) == 1
-    # check_tame, milnor_algebra and minimal_generators build one basis each,
-    # and each verify_generation one more
-    decoded = [gb for gb in bases if "generators" in vars(gb)]
-    assert len(bases) >= 3 + verified and len(decoded) == 2 - verified
+    assert len(bases) == built and len(pruning) == 1
+    assert not [gb for gb in bases if "generators" in vars(gb)]
+    assert rep.minimal == pruning[0].forms

@@ -32,6 +32,12 @@ def test_analyze_parse_error_exit_code(capsys):
     assert main(["analyze", "-f", "x +"]) == 1
 
 
+@pytest.mark.parametrize("text", ["x^\u00b2", "x^\u0663"])
+def test_analyze_non_ascii_digit_exit_code(capsys, text):
+    assert main(["analyze", "-f", text]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_analyze_oversized_power_exit_code(capsys):
     assert main(["analyze", "-f", "(x+y+1)^1000000"]) == 1
 

@@ -7,11 +7,13 @@ forms.  Verdicts, witnesses and minimal forms must be equal on every corpus
 curve with a finite Jacobian quotient and on drawn tame curves over Q and
 Q(i), including the curves where the four forms do not generate.
 
-analyze takes its raw set from the lifts of its candidate when it proves
-that they generate, and falls back to the augmented run and a generation
-run exactly when the reference says the candidate does not generate; the
-raw set is the augmented run's, and the verdict the reference's, on these
-curves and on the golden inputs.
+The raw set carries the projection of its relation basis to (p, q), which
+must be the reduced basis a run on its forms builds.  analyze takes its raw
+set from the lifts of its candidate when it proves that they generate, and
+falls back to the augmented run and a generation run exactly when the
+reference says the candidate does not generate; the raw set is the
+augmented run's, and the verdict the reference's, on these curves and on
+the golden inputs.
 """
 
 import hypothesis.strategies as st
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from curveforms import (QQ, OneForm, Polynomial, TermOrder, Weights, analyze,
-                        format_polynomial, minimal_generators,
+                        buchberger, format_polynomial, minimal_generators,
                         parse_polynomial, syzygy_generators, tangent,
                         verify_generation)
 from curveforms.poly import field_from_minpoly
@@ -66,7 +68,12 @@ def assert_matches_oracle(f, weights=(1, 1), allow_untame=True):
     rows = augmented_syzygies([-fy, fx, f], order)
     raw = syzygy_generators(f, order)
     assert raws[0].forms == raw.forms == [OneForm(*r.components[:2]) for r in rows]
-    mini = minimal_generators(raw, order)
+    # the projected relation basis is the reduced basis of the raw forms
+    reference = buchberger(raw.forms, order)
+    for basis in (raws[0].basis, raw.basis):
+        assert basis.generators == reference.generators
+        assert basis.leading_terms() == reference.leading_terms()
+    mini = minimal_generators(raw)
     assert mini.forms == oracle.minimal_generators(raw, order).forms
     for cand, ref in [(candidate, raw), (raw, candidate), (mini, raw)]:
         verdict = verify_generation(cand, ref)

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from curveforms import (FieldMismatch, InvalidInput, Matrix, ModuleOrder,
+from curveforms import (FieldMismatch, InvalidInput, InvariantViolation,
+                        Matrix, ModuleOrder,
                         ModuleVector, NumberField, Polynomial, QQ,
                         RankMismatch, TermOrder, buchberger, membership,
                         parse_polynomial, recombine, syzygies)
@@ -280,6 +281,38 @@ def test_rank_two_certificates_recombine():
         result = membership(target, vecs)
         assert result.contained
         assert recombine(result.cofactors, vecs) == target
+
+
+def test_projection_keeps_a_basis_with_its_leading_terms_in_range():
+    # a basis whose leading terms all lie in position 0 projects to the
+    # reduced basis of the first components; any other basis is refused
+    rng = random.Random(109)
+    kept = 0
+    for _ in range(60):
+        vecs = [ModuleVector((_random_poly(rng, 3), _random_poly(rng, 1)))
+                for _ in range(rng.randint(1, 3))]
+        vecs = [v for v in vecs if not v.components[0].is_zero()]
+        if not vecs:
+            continue
+        gb = buchberger(vecs)
+        if any(pos for pos, _, _ in gb.leading_terms()):
+            with pytest.raises(InvariantViolation):
+                gb.projected(1)
+            continue
+        kept += 1
+        first = buchberger([v.components[0] for v in vecs])
+        projected = gb.projected(1)
+        assert projected.generators == first.generators
+        assert projected.leading_terms() == first.leading_terms()
+        assert projected.order.rank == projected.rank == 1
+    assert kept > 10
+
+
+def test_projection_refuses_a_leading_term_outside_the_rank():
+    gb = buchberger([ModuleVector((_p("x"), _p("0"))), ModuleVector((_p("1"), _p("y")))])
+    assert sorted(gb.leading_terms()) == [(0, 1, 0), (1, 0, 1)]
+    with pytest.raises(InvariantViolation):
+        gb.projected(1)
 
 
 def test_module_vectors_and_orders():

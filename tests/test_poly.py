@@ -72,6 +72,16 @@ def test_parse_error_positions():
         parse_polynomial("x+*y")
 
 
+@pytest.mark.parametrize("text, position", [("x^\u00b2", 2), ("x^\u0663", 2),
+                                            ("\u00b2*x", 0), ("x\u0663+1", 1)])
+def test_parse_takes_only_ascii_digits(text, position):
+    # str.isdigit() holds for superscripts and other scripts' digits, which
+    # int() either rejects or reads silently ("x^\u0663" as x^3)
+    with pytest.raises(PolySyntaxError) as err:
+        parse_polynomial(text)
+    assert err.value.position == position
+
+
 def test_parse_huge_exponent_rejected():
     with pytest.raises(PolySyntaxError):
         parse_polynomial("x^99999999")

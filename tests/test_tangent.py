@@ -19,6 +19,7 @@ from curveforms import (GeneratorSet, InvalidInput, InvariantViolation,
                         wedge)
 from curveforms import cli, tangent
 from conftest import tame_curves, through_origin
+import generation_oracle as oracle
 
 
 def _p(text):
@@ -303,9 +304,19 @@ def test_smooth_generators_reject_singular_curves():
 
 
 def test_hyperbola_minimal_from_trivial():
+    # the oracle prunes the basis of any set; the library prunes the
+    # relation basis that the smooth set lifts to
     f = _p("x*y-1")
     gens = smooth_generators(f, 0)
-    assert len(minimal_generators(gens)) == 2
+    mini = minimal_generators(syzygy_generators(f, None, gens))
+    assert mini.forms == oracle.minimal_generators(gens).forms
+    assert len(mini) == 2
+
+
+def test_minimal_generators_need_a_syzygy_set():
+    f = _p("x*y-1")
+    with pytest.raises(InvalidInput):
+        minimal_generators(smooth_generators(f, 0))
 
 
 def test_quasihomogeneous_pairs():
@@ -352,10 +363,12 @@ def test_generation_certificates_recombine():
 
 
 def test_minimal_generators_respect_order_argument():
+    # the order of syzygy_generators is the order the minimal stage prunes in
     f = Polynomial.variable("y") - _p("x^4+5*x^3+8*x^2-x-4")
     order = TermOrder(Weights(1, 4))
     raw = syzygy_generators(f, order)
-    mini = minimal_generators(raw, order)
+    assert raw.basis.order.base is order
+    mini = minimal_generators(raw)
     assert len(mini) == 2
     assert saito_check(mini.forms, f).free
 
