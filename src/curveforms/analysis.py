@@ -189,23 +189,20 @@ def analyze(f: Polynomial, weights: Weights = Weights(1, 1), *,
     ma = milnor.milnor_algebra(f, weights, allow_untame=allow_untame,
                                tame_res=tame_res)
     report.mu = ma.mu
-    report.tau = milnor.tjurina_number(ma)
     op = milnor.multiplication_operator(ma)
     p = milnor.min_poly(op)
     report.min_poly = p
     report.exponent = milnor.exponent(p)
+    # tau = mu - rank(op) is 0 when t does not divide p (op is invertible);
+    # else the Tjurina run's rows also serve unit_ideal and kernel_condition
+    report.tau = milnor.tjurina_number(ma) if report.exponent else 0
     report.critical_factors = milnor.critical_value_factors(p)
-    t = UniPoly.t(f.field)
-    zero_profile = None
-    for cfac in report.critical_factors:
-        profile = milnor.jordan_profile(op, cfac.factor, p)
-        report.jordan.append(profile)
-        if cfac.factor == t:
-            zero_profile = profile
+    report.jordan = [milnor.jordan_profile(op, cfac.factor, p)
+                     for cfac in report.critical_factors]
     if report.exponent >= 1:
-        if zero_profile is None:
-            zero_profile = milnor.jordan_profile(op, t, p)
-        warning = appendix_block_warning(zero_profile)
+        t = UniPoly.t(f.field)
+        zero = next((jp for jp in report.jordan if jp.factor == t), None)
+        warning = appendix_block_warning(zero or milnor.jordan_profile(op, t, p))
         if warning:
             report.warnings.append(warning)
     timings["milnor"] = time.perf_counter() - t0

@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=float, default=1.5, metavar="R",
                    help="plot on [-R, R]^2")
     p.add_argument("--grid", type=int, default=200, metavar="N",
-                   help="cells per axis")
+                   help="cells per axis (at most 2000)")
     p.add_argument("--embed", type=float, default=None, metavar="VALUE",
                    help="numeric value of the field generator")
     p.set_defaults(func=cmd_plot)

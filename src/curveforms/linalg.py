@@ -338,19 +338,19 @@ class UniPoly:
         p = self.monic()
         if p.degree() == 0:
             return []
-        out = []
         g = p.gcd(p.derivative())
+        if g.degree() == 0:
+            # a monic p coprime to p' has no repeated root: it is squarefree
+            return [(p, 1)]
+        out, i = [], 1
         w = p.exact_div(g)
-        y = p.derivative().exact_div(g)
-        z = y - w.derivative()
-        i = 1
+        z = p.derivative().exact_div(g) - w.derivative()
         while w.degree() > 0:
             gi = w.gcd(z)
             if gi.degree() > 0:
                 out.append((gi, i))
             w = w.exact_div(gi)
-            y = z.exact_div(gi)
-            z = y - w.derivative()
+            z = z.exact_div(gi) - w.derivative()
             i += 1
         return out
 

@@ -15,6 +15,12 @@ the Groebner engine's integer coding of the field: the operator is an
 integer matrix over one denominator, a class a coded vector with one
 rational scale, and the engine's reduction finds the Krylov dependence.
 Field scalars appear only in the results.
+
+The minimal polynomial p fixes three facts that need no further run: op is
+invertible exactly when t does not divide p, so tau = 0 at exponent 0; p is
+squarefree when gcd(p, p') = 1; and the ranks of h(op)^k stop falling at
+the largest block, so p(op) = 0 has ranks mu, 0 and t's stop at r_e, with
+e the multiplicity of the root 0 of p.
 """
 
 from __future__ import annotations
@@ -328,8 +334,9 @@ class JordanProfile:
 
 
 def blocks_from_ranks(ranks) -> dict:
-    """Jordan block counts {size: count} from the rank sequence r_0 = n,
-    r_1, ..., r_m = r_{m-1} of h(A)^k: r_{k-1} - r_k blocks have size >= k."""
+    """Jordan block counts {size: count} from the ranks r_0 = n, r_1, ...
+    of h(A)^k, up to where they stop falling: r_{k-1} - r_k blocks have
+    size >= k."""
     at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))] + [0]
     counts = {k: at_least[k - 1] - at_least[k] for k in range(1, len(at_least))}
     return {size: count for size, count in counts.items() if count}
@@ -340,16 +347,23 @@ def jordan_profile(op: MultiplicationOperator, factor: UniPoly,
     """Block sizes at the roots of ``factor`` from the rank sequence of
     factor(op)^k.  factor(op)^k is multiplication by g_k = factor(f)^k, so
     its rank is mu - dim K[x,y]/<f_x, f_y, g_k>; the coordinates of g_k
-    come from applying factor(op) to those of g_{k-1}."""
+    come from applying factor(op) to those of g_{k-1}.
+
+    ``minimal`` must be op's minimal polynomial p (min_poly(op) when None).
+    The ranks fall strictly until k is the largest block size; so p(op) = 0
+    has ranks mu, 0, and t's stop at r_e, e the multiplicity of t in p."""
     ma = _algebra_of(op)
     if minimal is None:
         minimal = min_poly(op)
+    if factor == minimal:
+        return JordanProfile(factor, blocks_from_ranks([ma.mu, 0]))
     if not (minimal % factor).is_zero():
         raise FactorNotDividing(
             f"{factor} does not divide the minimal polynomial {minimal}")
+    last = exponent(minimal) if factor == UniPoly.t(ma.field) else None
     ranks = [ma.mu]
     vec, _ = _coded(ma, Polynomial.constant(1, ma.field))
-    while len(ranks) == 1 or ranks[-1] != ranks[-2]:
+    while len(ranks) - 1 != last and (len(ranks) == 1 or ranks[-1] != ranks[-2]):
         vec, _ = _apply_poly(factor, op, vec)
         ranks.append(ma.mu - _quotient_dimension(ma, vec))
     return JordanProfile(factor, blocks_from_ranks(ranks))

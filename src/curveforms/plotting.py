@@ -6,8 +6,12 @@ computations.  Deterministic for fixed inputs.
 
 from __future__ import annotations
 
+from math import isfinite
+
 from .errors import DegenerateWindow
 from .poly import Polynomial
+
+MAX_GRID = 2000  # cells per axis: at most 2001^2 float evaluations
 
 
 def marching_squares(f: Polynomial, window: float, grid: int,
@@ -16,16 +20,25 @@ def marching_squares(f: Polynomial, window: float, grid: int,
     (grid x grid)-cell lattice with linear interpolation along edges.
 
     Returns a list of ((x1, y1), (x2, y2)) segments in world coordinates.
+    A grid outside 2..MAX_GRID, or a window or cell width 2*window/grid that
+    is not positive and finite, raises DegenerateWindow before any sample;
+    so does a window on which f overflows a float, once sampled.
     """
-    if not (window > 0):
-        raise DegenerateWindow("window radius must be positive")
-    if grid < 2:
-        raise DegenerateWindow("need at least a 2x2 cell grid")
+    if not 2 <= grid <= MAX_GRID:
+        raise DegenerateWindow(f"need 2 to {MAX_GRID} cells per axis")
     n = grid
     step = 2.0 * window / n
+    if not (window > 0 and isfinite(step)):
+        raise DegenerateWindow("window and cell width must be positive and finite")
     coords = [-window + step * k for k in range(n + 1)]
-    values = [[f.evaluate_float(coords[i], coords[j], embedding)
-               for j in range(n + 1)] for i in range(n + 1)]
+    try:
+        values = [[f.evaluate_float(coords[i], coords[j], embedding)
+                   for j in range(n + 1)] for i in range(n + 1)]
+        finite = all(isfinite(v) for row in values for v in row)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DegenerateWindow("f overflows a float on this window")
 
     def cut(x1, y1, v1, x2, y2, v2):
         t = v1 / (v1 - v2)

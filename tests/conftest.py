@@ -101,3 +101,17 @@ def tame_curves(draw, field):
 def through_origin(f):
     """f without its constant and linear terms: f = 0 is singular at 0."""
     return Polynomial(f.field, {m: c for m, c in f.terms.items() if sum(m) >= 2})
+
+
+def recording_calls(monkeypatch, owner, *names):
+    """Count the calls of the named functions or methods of ``owner`` (a
+    module or a class); returns the live {name: count} dict."""
+    calls = {name: 0 for name in names}
+    for name in names:
+        original = getattr(owner, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+    return calls

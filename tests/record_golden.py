@@ -51,6 +51,10 @@ CASES = {
     "quartic_qi": ("x^4+2*y^4+x^2-x*y^2+2*x*y-3*y^3", (1, 1), "z^2+1", False),
     # mu = 36, a minimal polynomial of degree 26
     "deformed7": ("x^7+y^7-x^2*y^2+3*x^3*y-1", (1, 1), None, False),
+    # generic coefficients: squarefree minimal polynomials of degree 25 and
+    # 36 with large rational coefficients (mu = 25 and mu = 36)
+    "generic6": ("x^6+y^6+3*x^4*y-2*x^2*y^3+x*y^2-y+1", (1, 1), None, False),
+    "generic7": ("x^7+2*y^7+x^5*y-3*x^3*y^3+x*y^2-x+1", (1, 1), None, False),
 }
 
 

@@ -160,19 +160,21 @@ def test_analyze_checks_tameness_once(monkeypatch):
 
 TRACKED_CASES = [
     # (f, minimal polynomial, augmented runs, verify_generation calls,
-    #  buchberger calls)
-    ("x*y-1", None, 0, 0, 3),          # tau = 0 proves the unit ideal
-    ("x^5+y^5-x^2*y^2", None, 2, 1, 4),  # omega's membership and the fallback
-    ("x^4+2*y^4+x^2-x*y^2+2*x*y-3*y^3", "z^2+1", 1, 0, 4),  # omega's membership
-    ("x^3+y^3+(2+z)*x*y-z", "z^2+1", 0, 0, 3),
+    #  buchberger calls, runs on <f, f_x, f_y>)
+    ("x*y-1", None, 0, 0, 3, 0),          # tau = 0 proves the unit ideal
+    ("x^5+y^5-x^2*y^2", None, 2, 1, 4, 1),  # omega's membership and the fallback
+    ("x^4+2*y^4+x^2-x*y^2+2*x*y-3*y^3", "z^2+1", 1, 0, 4, 1),  # omega's membership
+    ("x^3+y^3+(2+z)*x*y-z", "z^2+1", 0, 0, 3, 0),
 ]
 
 
-@pytest.mark.parametrize("text, minpoly, augmented, verified, built", TRACKED_CASES,
-                         ids=[f"{t}-{m}-{a}" for t, m, a, _, _ in TRACKED_CASES])
+@pytest.mark.parametrize("text, minpoly, augmented, verified, built, on_f_runs",
+                         TRACKED_CASES,
+                         ids=[f"{t}-{m}-{a}" for t, m, a, _, _, _ in TRACKED_CASES])
 def test_analyze_tracks_and_decodes_only_what_it_reads(monkeypatch, text,
                                                        minpoly, augmented,
-                                                       verified, built):
+                                                       verified, built,
+                                                       on_f_runs):
     # the Jacobian basis is untracked and only omega's membership certificate
     # tracks cofactors; the relations come from the candidate's lifts, and
     # generation is decided by a run only when the candidate falls back to
@@ -230,8 +232,9 @@ def test_analyze_tracks_and_decodes_only_what_it_reads(monkeypatch, text,
     rep = analyze(f)
     assert len(runs) == augmented
     assert len(verifications) == verified
-    # tjurina_number's run is the only one on <f, f_x, f_y>
-    assert sum(seeds in on_f for seeds in rank_one) == 1
+    # tjurina_number's run is the only one on <f, f_x, f_y>, and it is made
+    # only at a positive exponent: at exponent 0 op is invertible, so tau = 0
+    assert sum(seeds in on_f for seeds in rank_one) == on_f_runs
     assert len(bases) == built and len(pruning) == 1
     assert not [gb for gb in bases if "generators" in vars(gb)]
     assert rep.minimal == pruning[0].forms

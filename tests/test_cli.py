@@ -122,6 +122,20 @@ def test_plot_rejects_bad_grid(capsys):
     assert main(["plot", "-f", "x", "--grid", "1"]) == 1
 
 
+def test_plot_rejects_unusable_window_and_grid(tmp_path, capsys):
+    # an infinite window, one whose cell width overflows, one on which f
+    # overflows, and a grid over the cap each exit 1 without writing a file
+    target = tmp_path / "circle.svg"
+    args = ["plot", "-f", "x^2+y^2-1", "--svg", str(target)]
+    for extra in (["--window", "inf", "--grid", "4"],
+                  ["--window", "1e308", "--grid", "4"],
+                  ["--window", "1e200", "--grid", "4"],
+                  ["--grid", "2001"]):
+        assert main(args + extra) == 1
+        assert "error:" in capsys.readouterr().err
+    assert not target.exists()
+
+
 def test_plot_validates_weights(tmp_path, capsys):
     target = tmp_path / "circle.svg"
     args = ["plot", "-f", "x^2+y^2-1", "--grid", "4", "--svg", str(target)]

@@ -6,6 +6,7 @@ import pytest
 
 from curveforms import Matrix, NotSquare, QQ, UniPoly, ZeroInput, rational
 from curveforms.linalg import matrix_min_poly
+from conftest import recording_calls
 
 
 def _m(rows):
@@ -99,6 +100,14 @@ def test_squarefree_reported_min_poly():
         (UniPoly((rational(16, 3125), 1)), 1),
         (UniPoly((0, 1)), 2),
     ]
+
+
+def test_squarefree_input_stops_at_a_unit_gcd(monkeypatch):
+    # gcd(p, p') = 1 proves p squarefree: one gcd and no exact division
+    calls = recording_calls(monkeypatch, UniPoly, "gcd", "exact_div")
+    p = UniPoly((rational(16, 3125), 0, 2)) * UniPoly((0, 1))  # 2t^3 + (16/3125)t
+    assert p.squarefree_decompose() == [(p.monic(), 1)]
+    assert calls == {"gcd": 1, "exact_div": 0}
 
 
 def test_squarefree_zero_input():

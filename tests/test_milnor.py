@@ -9,8 +9,10 @@ from curveforms import (FactorNotDividing, Matrix, NotInKernel, NotTame,
                         milnor_algebra, min_poly, multiplication_operator,
                         parse_polynomial, rational, theta_polynomial,
                         tjurina_number)
+from curveforms import milnor
 from curveforms.milnor import standard_monomials
 from curveforms.groebner import buchberger
+from conftest import recording_calls
 from dense_oracle import dense_jordan_profile
 
 
@@ -217,6 +219,30 @@ def test_jordan_factor_must_divide():
     op = multiplication_operator(milnor_algebra(_p("x^3+y^3")))
     with pytest.raises(FactorNotDividing):
         jordan_profile(op, UniPoly((1, 1)))  # t+1 does not divide t
+    smooth = multiplication_operator(milnor_algebra(_p("x*y-1")))
+    with pytest.raises(FactorNotDividing):
+        jordan_profile(smooth, UniPoly.t())  # t does not divide t+1
+
+
+def test_jordan_profile_of_the_minimal_polynomial_needs_no_rank(monkeypatch):
+    # p(op) = 0, so the ranks are mu, 0 without a Horner step or a run
+    op = multiplication_operator(milnor_algebra(_p("x^3+y^3-3*x*y")))
+    p = min_poly(op)
+    assert p == UniPoly((0, 1, 1))
+    calls = recording_calls(monkeypatch, milnor, "_apply_poly", "_quotient_dimension")
+    assert jordan_profile(op, p, p).blocks == {1: 4}
+    assert calls == {"_apply_poly": 0, "_quotient_dimension": 0}
+
+
+def test_jordan_profile_at_zero_stops_at_the_exponent(monkeypatch):
+    # the largest block at 0 has the size e = 2 of the root 0 of p, so the
+    # ranks r_1, r_2 take one Horner step each and r_3 = r_2 takes none
+    op = multiplication_operator(milnor_algebra(_p(ACAMPO)))
+    p = min_poly(op)
+    assert exponent(p) == 2
+    calls = recording_calls(monkeypatch, milnor, "_apply_poly", "_quotient_dimension")
+    assert jordan_profile(op, UniPoly.t(), p).blocks == {1: 9, 2: 1}
+    assert calls == {"_apply_poly": 2, "_quotient_dimension": 2}
 
 
 # -- theta and the kernel condition ----------------------------------------------------

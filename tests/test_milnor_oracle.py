@@ -4,16 +4,18 @@ The library reads the minimal polynomial off the Krylov sequence of [1]
 and every rank off a quotient dimension, all on the engine's integer
 coding; the dense reference takes powers and ranks of the mu x mu matrix,
 and the rational reference runs the library's algorithms on field scalars.
-All must agree on every corpus curve with a finite Jacobian quotient and on
-drawn tame curves over Q, Q(i) and a cubic field whose minimal polynomial
-is not integral.
+All must agree on every corpus curve with a finite Jacobian quotient, on
+the golden inputs and on drawn tame curves over Q, Q(i) and a cubic field
+whose minimal polynomial is not integral.  So must the tau and the Jordan
+profiles that analyze reports, which it reads partly off the minimal
+polynomial instead of running the rank sequences out.
 """
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from curveforms import (QQ, Polynomial, UniPoly, Weights,
+from curveforms import (QQ, Polynomial, UniPoly, Weights, analyze,
                         critical_value_factors, exponent, jordan_profile,
                         kernel_condition, matrix_min_poly, milnor_algebra,
                         min_poly, multiplication_operator, parse_polynomial,
@@ -22,6 +24,7 @@ from curveforms.poly import field_from_minpoly
 import dense_oracle as oracle
 from conftest import tame_curves
 from dense_oracle import dense_jordan_profile, dense_kernel_condition
+from record_golden import CASES
 
 # (text, weights, minimal polynomial of the field); the Riccati curve
 # x(x-1)(x+1) is left out: its Jacobian quotient is infinite-dimensional
@@ -60,6 +63,14 @@ def assert_matches_rational(ma, op, p):
     return factors
 
 
+def assert_report_matches(ma, p, profiles):
+    """analyze's tau is tjurina_number's, and each Jordan profile it reports
+    is the reference profile ``profiles[factor]``."""
+    rep = analyze(ma.f, ma.weights, allow_untame=True)
+    assert rep.tau == tjurina_number(ma) and rep.min_poly == p
+    assert rep.jordan == [profiles[jp.factor] for jp in rep.jordan]
+
+
 def assert_matches_dense(ma):
     op = multiplication_operator(ma)
     # the decoded entries are the coordinates of f times each basis monomial
@@ -68,14 +79,16 @@ def assert_matches_dense(ma):
     assert op.entries == [[col[r] for col in columns] for r in range(ma.mu)]
     p = min_poly(op)
     assert p == matrix_min_poly(op)
-    for factor in assert_matches_rational(ma, op, p):
-        assert (jordan_profile(op, factor, p)
-                == dense_jordan_profile(op, factor, p))
+    dense = {factor: dense_jordan_profile(op, factor, p)
+             for factor in assert_matches_rational(ma, op, p)}
+    for factor, profile in dense.items():
+        assert jordan_profile(op, factor, p) == profile
     assert ma.mu - tjurina_number(ma) == op.rank()
     if exponent(p) >= 1:
         theta = theta_polynomial(ma, op, p)
         assert (kernel_condition(ma, op, theta)
                 == dense_kernel_condition(ma, op, theta))
+    assert_report_matches(ma, p, dense)
 
 
 @pytest.mark.parametrize("text,weights,minpoly", CORPUS_CURVES,
@@ -85,6 +98,34 @@ def test_corpus_curve_matches_dense(text, weights, minpoly):
     f = parse_polynomial(text, field)
     assert_matches_dense(milnor_algebra(f, Weights(*weights),
                                         allow_untame=True))
+
+
+# the golden inputs that are not corpus curves, and the folium, whose
+# p = t^2+t is squarefree: t is no Yun factor, and its profile is read at e = 1
+GOLDEN_CURVES = [(text, weights, minpoly)
+                 for name, (text, weights, minpoly, _) in sorted(CASES.items())
+                 if name != "riccati" and (text, weights, minpoly) not in CORPUS_CURVES]
+GOLDEN_CURVES.append(("x^3+y^3-3*x*y", (1, 1), None))
+
+
+@pytest.mark.parametrize("text,weights,minpoly", GOLDEN_CURVES,
+                         ids=[c[0] for c in GOLDEN_CURVES])
+def test_golden_input_matches_dense(text, weights, minpoly):
+    field = field_from_minpoly(minpoly) if minpoly else QQ
+    ma = milnor_algebra(parse_polynomial(text, field), Weights(*weights),
+                        allow_untame=True)
+    if ma.mu <= 16:
+        assert_matches_dense(ma)
+    else:
+        # dense powers take seconds to minutes here (factors of degree 24 to
+        # 36, or a 97 x 97 matrix), so the larger inputs meet the rational
+        # reference, which runs every rank sequence out, and the dense rank
+        op = multiplication_operator(ma)
+        p = min_poly(op)
+        assert ma.mu - tjurina_number(ma) == op.rank()
+        assert_report_matches(ma, p, {
+            cfac.factor: oracle.jordan_profile(op, cfac.factor)
+            for cfac in critical_value_factors(p)})
 
 
 GAUSSIAN = field_from_minpoly("z^2+1")

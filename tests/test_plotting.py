@@ -3,7 +3,7 @@
 import pytest
 
 from curveforms import DegenerateWindow, MissingEmbedding, parse_polynomial
-from curveforms.plotting import marching_squares, plot_svg, render_svg
+from curveforms.plotting import MAX_GRID, marching_squares, plot_svg, render_svg
 from curveforms.poly import field_from_minpoly
 
 
@@ -40,6 +40,26 @@ def test_degenerate_window_rejected():
         marching_squares(f, 0.0, 10)
     with pytest.raises(DegenerateWindow):
         marching_squares(f, 1.0, 1)
+
+
+@pytest.mark.parametrize("window", [float("inf"), float("nan"), 1e308, 1e200])
+def test_non_finite_window_cell_or_value_rejected(window):
+    # at 1e308 the window is finite but the cell width 2*window/grid is not,
+    # and at 1e200 the cell is finite but x^2 overflows a float
+    with pytest.raises(DegenerateWindow):
+        marching_squares(parse_polynomial("x^2+y^2-1"), window, 4)
+
+
+class _Unsampled:
+    def evaluate_float(self, *args):
+        raise AssertionError("sampled a grid that should have been rejected")
+
+
+def test_grid_cap_rejected_before_sampling():
+    with pytest.raises(DegenerateWindow):
+        marching_squares(_Unsampled(), 1.0, MAX_GRID + 1)
+    with pytest.raises(AssertionError):  # the cap itself is accepted
+        marching_squares(_Unsampled(), 1.0, MAX_GRID)
 
 
 def test_extension_field_needs_embedding():
