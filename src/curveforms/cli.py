@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Commands: analyze, generators, jordan, plot, corpus.  Exit codes: 0 on
-success, 1 on bad input (a `CurveFormsError`), 2 when the polynomial is not
-tame, 3 on an internal invariant violation or any other unexpected error.
+success, 1 on bad input (a `CurveFormsError`) or an output path that cannot
+be written (an `OSError`), 2 when the polynomial is not tame, 3 on an
+internal invariant violation or any other unexpected error.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except CurveFormsError as exc:
+    except (CurveFormsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception:  # not a documented input error, so a bug

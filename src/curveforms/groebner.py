@@ -1,13 +1,15 @@
 """Buchberger Groebner bases for ideals in K[x,y] and submodules of K[x,y]^r.
 
-One engine covers everything.  Cofactor transforms come from an augmented
-run: each generator g_k is extended with a unit tag e_k and the basis is
-computed under an order that eliminates the original block, so output rows
-with a surviving first block form a basis of the module (their tags
-expressing them in the inputs), while rows with a zero first block are
-exactly the syzygies.  A caller that knows generators of a relation module
-(the tangent module's lifted forms) takes their reduced basis from a plain
-run instead and checks each row on the engine vectors.
+One engine covers everything.  Cofactors live only in the tag positions of
+an augmented run: each generator g_k is extended with a unit tag e_k and the
+basis is computed under an order that eliminates the original block, so
+output rows with a surviving first block form a basis of the module (their
+tags expressing them in the inputs), while rows with a zero first block are
+exactly the syzygies.  membership reduces (v | 0) by the first kind of row
+once and reads the cofactors off the tags of the remainder.  A caller that
+knows generators of a relation module (the tangent module's lifted forms)
+takes their reduced basis from a plain run instead and checks each row on
+the engine vectors.
 
 Terms are packed: ModuleOrder.key codes a term (pos, i, j) as one int whose
 integer order is the module order, so a leading term is a plain max() and
@@ -19,10 +21,10 @@ coefficients; a normalized leading coefficient is a positive rational
 integer, so a is an int.  One loop serves both, with the field's helpers
 chosen once per run.  Monic vectors appear only at the public boundary.
 
-_normal_form_core does every reduction.  Every Buchberger and syzygy run and
-GroebnerBasis.normal_form look it up as a module global at call time, and
-the first item of its result is empty exactly when the remainder is zero,
-so wrapping it counts reductions and reductions to zero.
+_normal_form_core does every reduction.  Every Buchberger and syzygy run,
+membership and GroebnerBasis.normal_form look it up as a module global at
+call time, and the first item of its result is empty exactly when the
+remainder is zero, so wrapping it counts reductions and reductions to zero.
 
 Pair pruning uses the Gebauer-Moeller rules.  The coprime-leading-term
 criterion is only valid for ideals, so it is applied solely in rank 1.
@@ -84,17 +86,13 @@ def _unpack(t):
 # the engine: vectors are dicts from packed terms to coefficients
 
 
-def _vec_core(mv: ModuleVector, key=None):
-    """Terms of mv keyed by (pos, i, j), or packed with ``key``."""
+def _vec_core(mv: ModuleVector, key):
+    """Terms of mv packed with ``key``."""
     out = {}
     for pos, p in enumerate(mv.components):
         for (i, j), c in p.terms.items():
-            out[(pos, i, j) if key is None else key((pos, i, j))] = c
+            out[key((pos, i, j))] = c
     return out
-
-
-def _packed(core, key):
-    return {key(t): c for t, c in core.items()}
 
 
 def _core_vec(core, rank, field, start: int = 0) -> ModuleVector:
@@ -210,29 +208,22 @@ def _public(core, lt, coding):
     return coding.decode(core, Rational(1, coding.lead(core[lt])))
 
 
-def _normal_form_core(vec, basis, lts, key=None, track=False, coding=_INTEGERS):
-    """Divide vec by the basis (leading codes lts): (remainder, (mult, cof))
-    with mult a positive integer and, with track, cof the monomial dicts
-    (else None) such that
+def _normal_form_core(vec, basis, lts, exact, coding):
+    """Divide vec by the basis (leading codes lts): (remainder, mult) with
+    mult a positive integer and some cofactors such that
 
         mult * vec == remainder + sum(cof[k][m] * m * basis[k]).
 
-    With track None only the remainder counts, up to a positive factor.
+    Without ``exact`` only the remainder counts, up to a positive factor.
     Each step cancels the leading term of v against the first basis element
     whose leading term divides it, v <- a*v - b*m*g with (a, b) from
     coding.cross.  After every few steps that scaled v its content is
-    removed: all of it with track None, else the part shared with mult.
-    The vectors hold the scalars of ``coding``.  With
-    ``key`` they are keyed by (pos, i, j), as _vec_core builds them, and lts
-    are such tuples; they are packed with it first.
+    removed: all of it without exact, else the part shared with mult.  The
+    vectors hold the scalars of ``coding``.
     """
-    if key is not None:
-        vec, basis = _packed(vec, key), [_packed(g, key) for g in basis]
-        lts = [key(t) for t in lts]
     cross, subtract, scaled = coding.cross, coding.subtract, coding.scaled
     heads = [_unpack(t) for t in lts]
     v, rem, mult, grown = dict(vec), {}, 1, 0
-    cof = [{} for _ in basis] if track else []
     while v:
         t = max(v)
         pos, i, j = _unpack(t)
@@ -244,39 +235,27 @@ def _normal_form_core(vec, basis, lts, key=None, track=False, coding=_INTEGERS):
             continue
         a, b = cross(v.pop(t), basis[k][lts[k]])
         if a != 1:
-            v, rem, *cof = (scaled(d, a) for d in (v, rem, *cof))
+            v, rem = scaled(v, a), scaled(rem, a)
             mult, grown = mult * a, grown + 1
         subtract(v, b, basis[k], lts[k], t - lts[k])
-        if track:  # t only falls, so each (k, m) comes once
-            cof[k][(i - gi, j - gj)] = b
         if grown > 3:
-            div = coding.content(0 if track is None else mult, (v, rem, *cof))
+            div = coding.content(mult if exact else 0, (v, rem))
             if div > 1:
-                v, rem, *cof = (coding.divided(d, div) for d in (v, rem, *cof))
+                v, rem = coding.divided(v, div), coding.divided(rem, div)
                 mult //= div
             grown = 0
-    if key is not None:
-        rem = {_unpack(t): c for t, c in rem.items()}
-    return rem, (mult, cof if track else None)
+    return rem, mult
 
 
-def _spair_core(g1, lt1, g2, lt2, key=None, coding=_INTEGERS):
+def _spair_core(g1, t1, g2, t2, lcm_code, coding):
     """S-vector a*m1*g1 - b*m2*g2, (a, b) from coding.cross, of two vectors
-    whose leading terms lt1, lt2 (tuples) lie in one position.  The vectors
-    are packed with ``key``; without it they are keyed by (pos, i, j), as
-    _vec_core builds them, and any packing serves: an S-vector does not
-    depend on the order."""
-    tuples = key is None
-    if tuples:
-        key = ModuleOrder(TermOrder()).key
-        g1, g2 = _packed(g1, key), _packed(g2, key)
-    t1, t2 = key(lt1), key(lt2)
-    lcm_code = key((lt1[0], max(lt1[1], lt2[1]), max(lt1[2], lt2[2])))
+    whose leading codes t1, t2 lie in one position; m_k is the monomial whose
+    code shift is lcm_code - t_k."""
     a, b = coding.cross(g1[t1], g2[t2])
     out = {s + lcm_code - t1: c for s, c in g1.items() if s != t1}
     out = out if a == 1 else coding.scaled(out, a)
     coding.subtract(out, b, g2, t2, lcm_code - t2)
-    return {_unpack(t): c for t, c in out.items()} if tuples else out
+    return out
 
 
 def _run_buchberger(seeds, order: ModuleOrder, coding):
@@ -331,7 +310,7 @@ def _run_buchberger(seeds, order: ModuleOrder, coding):
         lts.append(new_lt)
 
     def insert(v):
-        rem, _ = _normal_form_core(v, G, codes, track=None, coding=coding)
+        rem, _ = _normal_form_core(v, G, codes, False, coding)
         if rem:
             t = max(rem)
             update(coding.normalized(rem, t), t)
@@ -340,8 +319,8 @@ def _run_buchberger(seeds, order: ModuleOrder, coding):
         insert(core)
     while pairs:
         (i, j) = min(pairs, key=lambda p: (pairs[p][0], p))
-        del pairs[(i, j)]
-        insert(_spair_core(G[i], lts[i], G[j], lts[j], keyf, coding))
+        lcm_code, _ = pairs.pop((i, j))
+        insert(_spair_core(G[i], codes[i], G[j], codes[j], lcm_code, coding))
 
     # minimalize: drop elements whose leading term another one divides
     kept = []
@@ -354,7 +333,7 @@ def _run_buchberger(seeds, order: ModuleOrder, coding):
     # tail-reduce each element against all the others
     for k in range(len(basis)):
         rem, _ = _normal_form_core(basis[k], basis[:k] + basis[k + 1:],
-                                   bcodes[:k] + bcodes[k + 1:], None, None, coding)
+                                   bcodes[:k] + bcodes[k + 1:], False, coding)
         basis[k] = coding.normalized(rem, bcodes[k])
 
     return list(zip(basis, bcodes))
@@ -375,62 +354,53 @@ class Membership:
 
 
 class GroebnerBasis:
-    """Reduced basis plus (optionally) the transform back to the inputs.
+    """A reduced basis.
 
     ``_cores`` holds the engine's form of each generator: (vector, leading
-    code, lam) with vector == lam * generator.  Everything but
-    ``generators`` works on them; those are decoded on first read."""
+    code), the vector a normalized multiple of the generator.  Everything
+    but ``generators`` works on them; those are decoded on first read."""
 
-    def __init__(self, generators, order, field, rank, transform=None, cores=None):
+    def __init__(self, generators, order, field, rank, cores=None):
         self.order = order
         self.field = field
         self.rank = rank
-        self.transform = transform
         coding = self.coding = _coding(field)
         if cores is None:
             self.generators, cores = list(generators), []
             for g in self.generators:
-                public = _vec_core(g, order.key)
-                t = max(public)
-                core = coding.normalized(coding.encode(public)[0], t)
-                cores.append((core, t, field.inv(public[t]) * coding.lead(core[t])))
+                core = coding.encode(_vec_core(g, order.key))[0]
+                t = max(core)
+                cores.append((coding.normalized(core, t), t))
         self._cores = cores
 
     @cached_property
     def generators(self):
         return [_core_vec(_public(core, t, self.coding), self.rank, self.field)
-                for core, t, _ in self._cores]
+                for core, t in self._cores]
 
     def __len__(self):
         return len(self._cores)
 
     def leading_terms(self):
-        return [_unpack(t) for _, t, _ in self._cores]
+        return [_unpack(t) for _, t in self._cores]
 
-    def _reduce(self, v, track):
-        """(scale, remainder, (mult, cofactors)) of the engine vector v / scale."""
+    def _reduce(self, v):
+        """(vector, scale): the remainder of v is scale * vector, an engine vector."""
         v = ModuleVector.wrap(v)
         if v.rank != self.rank:
             raise RankMismatch(f"rank {v.rank} against a rank-{self.rank} basis")
         core, scale = self.coding.encode(_vec_core(v, self.order.key))
-        rem, tracked = _normal_form_core(
-            core, [c for c, _, _ in self._cores], [t for _, t, _ in self._cores],
-            None, track, self.coding)
-        return scale, rem, tracked
+        rem, mult = _normal_form_core(core, [c for c, _ in self._cores],
+                                      [t for _, t in self._cores], True, self.coding)
+        return rem, scale if mult == 1 else scale / mult
 
-    def normal_form(self, v, track_cofactors: bool = False):
-        """Remainder of v; with tracking also the cofactors against the basis."""
-        scale, rem, (mult, cof) = self._reduce(v, track_cofactors)
-        s = scale if mult == 1 else scale / mult
-        remainder = _core_vec(self.coding.decode(rem, s), self.rank, self.field)
-        if not track_cofactors:
-            return remainder
-        return remainder, [Polynomial(self.field, self.coding.decode(d, lam * s))
-                           for d, (_, _, lam) in zip(cof, self._cores)]
+    def normal_form(self, v):
+        """Remainder of v."""
+        rem, scale = self._reduce(v)
+        return _core_vec(self.coding.decode(rem, scale), self.rank, self.field)
 
     def reduces_to_zero(self, v) -> bool:
-        _, rem, _ = self._reduce(v, False)
-        return not rem
+        return not self._reduce(v)[0]
 
     def annihilates(self, gens) -> bool:
         """Is every generator (a_k) a relation, sum a_k * gens[k] == 0?  On engine
@@ -440,7 +410,7 @@ class GroebnerBasis:
         for t, c in coding.encode(_vec_core(ModuleVector(tuple(gens)), key))[0].items():
             pos, i, j = _unpack(t)
             shifted[pos][key((0, i, j)) - key((pos, 0, 0))] = c
-        for core, _, _ in self._cores:
+        for core, _ in self._cores:
             acc = {}
             for t, c in core.items():
                 coding.subtract(acc, c, shifted[_unpack(t)[0]], None, t)
@@ -455,33 +425,25 @@ class GroebnerBasis:
         leading term, so the projection is injective and keeps leading terms,
         and the projected generators, which lose only tail terms, are reduced."""
         coding, cores, low = self.coding, [], _PMASK - rank  # pos packs as _PMASK - pos
-        for core, t, _ in self._cores:
+        for core, t in self._cores:
             if t >> _S_POS & _PMASK <= low:
                 raise InvariantViolation(f"leading term {_unpack(t)} beyond rank {rank}")
             v = coding.normalized({s: c for s, c in core.items() if s >> _S_POS & _PMASK > low}, t)
-            cores.append((v, t, Rational(coding.lead(v[t]))))
-        return GroebnerBasis(None, self.order.restricted(rank), self.field, rank, None, cores)
+            cores.append((v, t))
+        return GroebnerBasis(None, self.order.restricted(rank), self.field, rank, cores)
 
     def irredundant(self, candidates) -> set:
         """Indices of the generators kept by greedy pruning: each candidate in
         turn goes if a run on the engine vectors of the rest generates it."""
-        vecs, kept = [core for core, _, _ in self._cores], set(range(len(self)))
+        vecs, kept = [core for core, _ in self._cores], set(range(len(self)))
         for k in candidates:
             if len(kept) == 1:
                 break
             rows = _run_buchberger([vecs[m] for m in kept - {k}], self.order, self.coding)
             if not _normal_form_core(vecs[k], [v for v, _ in rows], [t for _, t in rows],
-                                     None, None, self.coding)[0]:
+                                     False, self.coding)[0]:
                 kept.remove(k)
         return kept
-
-    def cofactors_on_inputs(self, basis_cofactors):
-        """Rewrite basis cofactors as cofactors on the original generators."""
-        if self.transform is None:
-            raise InvalidInput("basis was computed without cofactor tracking")
-        n_inputs = len(self.transform[0]) if self.transform else 0
-        return [sum((c * row[k] for c, row in zip(basis_cofactors, self.transform)),
-                    Polynomial.zero(self.field)) for k in range(n_inputs)]
 
 
 def _prepare(gens, order):
@@ -507,72 +469,67 @@ def _seeds(vecs, coding, order):
             for v in vecs if not v.is_zero()]
 
 
-def buchberger(gens, order=None, track_cofactors: bool = False) -> GroebnerBasis:
-    """Reduced Groebner basis of the module generated by ``gens``.
-
-    With ``track_cofactors`` the result carries a transform matrix with
-    basis[k] == sum(transform[k][i] * gens[i]) exactly.
-    """
+def buchberger(gens, order=None) -> GroebnerBasis:
+    """Reduced Groebner basis of the module generated by ``gens``."""
     vecs, rank, field, order = _prepare(gens, order)
     coding = _coding(field)
-    transform = None
-    if not track_cofactors:
-        seeds = _seeds(vecs, coding, order)
-        if not seeds:
-            raise InvalidInput("all generators are zero")
-        rows = _run_buchberger(seeds, order, coding)
-    else:
-        rows, _ = _augmented_run(vecs, rank, field, order)
-        order, transform = order.restricted(rank), [tags for _, _, tags in rows]
-    cores = [(core, t, Rational(coding.lead(core[t]))) for core, t, *_ in rows]
-    return GroebnerBasis(None, order, field, rank, transform, cores)
+    seeds = _seeds(vecs, coding, order)
+    if not seeds:
+        raise InvalidInput("all generators are zero")
+    return GroebnerBasis(None, order, field, rank, _run_buchberger(seeds, order, coding))
 
 
 def _augmented_run(vecs, rank, field, order):
-    """Shared augmented computation: (basis_rows, syzygy_rows), basis_rows the
-    (vector, leading code, tag polys) of the elements with a nonzero original
-    block, packed for the restricted order, and syzygy_rows the rank-s
-    ModuleVectors spanning all relations among the inputs."""
-    s = len(vecs)
-    aug_order = ModuleOrder(order.base, rank + s, elim=rank)
+    """Reduced basis rows (vector, leading code) of the vectors (vecs[k] | e_k)
+    under the order on rank + len(vecs) positions that eliminates the first
+    rank, each block ordered by order.base.  Every row (g | a) has
+    g == sum a_k * vecs[k].  The rows whose leading code carries _ELIM are
+    those with g != 0, and their g form a basis of <vecs>; the a of the
+    others span all relations among vecs."""
+    aug_order = ModuleOrder(order.base, rank + len(vecs), elim=rank)
     coding = _coding(field)
     seeds = []
     for k, v in enumerate(vecs):
         core = _vec_core(v, aug_order.key)
         core[aug_order.key((rank + k, 0, 0))] = field.one
         seeds.append(coding.encode(core)[0])
-    basis_rows, syzygy_rows = [], []
-    for core, lt in _run_buchberger(seeds, aug_order, coding):
-        tags = _core_vec(_public(core, lt, coding), s, field, start=rank)
-        if lt & _ELIM:
-            # the first block; dropping the flag packs it for order.restricted
-            first = {t - _ELIM: c for t, c in core.items() if t & _ELIM}
-            basis_rows.append((coding.normalized(first, lt - _ELIM), lt - _ELIM,
-                               list(tags.components)))
-        else:
-            syzygy_rows.append(tags)
-    return basis_rows, syzygy_rows
+    return _run_buchberger(seeds, aug_order, coding)
 
 
 def syzygies(gens, order=None):
     """Generators of the relation module {(a_i) : sum a_i * gens_i = 0}: its
     reduced Groebner basis under ModuleOrder(order.base, len(gens)), read off
     the augmented run, which orders its tag positions like that order."""
-    _, syz = _augmented_run(*_prepare(gens, order))
-    return syz
+    vecs, rank, field, order = _prepare(gens, order)
+    coding = _coding(field)
+    return [_core_vec(_public(core, t, coding), len(vecs), field, start=rank)
+            for core, t in _augmented_run(vecs, rank, field, order) if not t & _ELIM]
 
 
 def membership(v, gens, order=None) -> Membership:
-    """Decide v in <gens>; on success the certificate recombines exactly."""
+    """Decide v in <gens>; on success the certificate recombines exactly.
+
+    One reduction of (v | 0) against the augmented rows (g | a) with a
+    flagged leading code leaves (r | -a) with mult * v == r + sum a_i * gens_i.
+    The terms of the first block carry the flag, so they lead while any
+    remain and every step picks the divisor that the division by the basis
+    of first blocks under order.restricted would: r / mult is the normal
+    form of v, and a / mult its cofactors on the inputs."""
     vecs, rank, field, order = _prepare(gens, order)
     v = ModuleVector.wrap(v)
     if v.rank != rank:
         raise RankMismatch("query rank differs from the generators")
-    gb = buchberger(vecs, order, track_cofactors=True)
-    remainder, cof = gb.normal_form(v, track_cofactors=True)
+    coding = _coding(field)
+    rows = [row for row in _augmented_run(vecs, rank, field, order) if row[1] & _ELIM]
+    key = ModuleOrder(order.base, rank + len(vecs), elim=rank).key
+    core, scale = coding.encode(_vec_core(v, key))
+    rem, mult = _normal_form_core(core, [c for c, _ in rows], [t for _, t in rows],
+                                  True, coding)
+    remainder = _core_vec(coding.decode(rem, scale / mult), rank, field)
     if not remainder.is_zero():
         return Membership(False, None, remainder)
-    return Membership(True, gb.cofactors_on_inputs(cof))
+    tags = _core_vec(coding.decode(rem, -scale / mult), len(vecs), field, start=rank)
+    return Membership(True, list(tags.components))
 
 
 def recombine(cofactors, gens) -> ModuleVector:

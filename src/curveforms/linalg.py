@@ -263,40 +263,29 @@ class UniPoly:
         return self.divmod(other)[1]
 
     def _coded(self):
-        """(coding, key, vector, scale): self == scale * vector, t^k coded as
-        the engine term x^k."""
+        """(coding, key, vector): a coded multiple of self, t^k coded as the
+        engine term x^k."""
         coding, key = groebner._coding(self.field), groebner.ModuleOrder(TermOrder()).key
-        vec, scale = coding.encode({key((0, k, 0)): c for k, c in enumerate(self.coeffs) if c})
-        return coding, key, vec, scale
+        vec = coding.encode({key((0, k, 0)): c for k, c in enumerate(self.coeffs) if c})[0]
+        return coding, key, vec
 
     def exact_div(self, other: "UniPoly") -> "UniPoly":
-        """Quotient of an exact division, by the kernel's tracked division by
-        the normalized vector b of other, mult * a == cof * b, as in gcd."""
-        check_same_field(self.field, other.field)
-        if other.is_zero():
-            raise DivisionByZero("univariate division by zero")
-        coding, _, a, scale = self._coded()
-        b = other._coded()[2]
-        lt = max(b)
-        b = coding.normalized(b, lt)
-        rem, (mult, (cof,)) = groebner._normal_form_core(a, [b], [lt], None, True, coding)
-        if rem:
+        """Quotient of an exact division."""
+        q, rem = self.divmod(other)
+        if not rem.is_zero():
             raise ValueError("division is not exact")
-        q = coding.decode(cof, self.field.inv(other.coeffs[-1])
-                          * (scale * coding.lead(b[lt]) / mult))
-        return UniPoly([q.get((k, 0), self.field.zero)
-                        for k in range(len(self.coeffs) - other.degree())], self.field)
+        return q
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Monic gcd by primitive pseudo-remainders: t^k is the engine term
         x^k, and the kernel's division by one normalized vector is a
         pseudo-division with the content removed."""
         check_same_field(self.field, other.field)
-        coding, key, a, _ = self._coded()
+        coding, key, a = self._coded()
         b = other._coded()[2]
         while b:
             b = coding.normalized(b, max(b))
-            a, b = b, groebner._normal_form_core(a, [b], [max(b)], None, None, coding)[0]
+            a, b = b, groebner._normal_form_core(a, [b], [max(b)], False, coding)[0]
         if a:
             a = groebner._public(coding.normalized(a, max(a)), max(a), coding)
         return UniPoly([a.get(key((0, k, 0)), self.field.zero)

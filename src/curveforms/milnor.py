@@ -181,19 +181,19 @@ def multiplication_operator(ma: MilnorAlgebra) -> MultiplicationOperator:
     """Matrix of [P] -> [f*P]: column m is the kernel's remainder of m times
     the coded class of f, and the columns share one denominator."""
     gb, key = ma.gb, ma.gb.order.key
-    fvec, scale = _coded(ma, ma.f)
-    basis = [c for c, _, _ in gb._cores], [t for _, t, _ in gb._cores]
+    fvec, scale = gb._reduce(ma.f)
+    basis = [c for c, _ in gb._cores], [t for _, t in gb._cores]
     rems = {}
     for m in ma.basis:
         shift = key((0,) + m) - key((0, 0, 0))
         rems[key((0,) + m)] = groebner._normal_form_core(
-            {t + shift: c for t, c in fvec.items()}, *basis, None, False, gb.coding)
+            {t + shift: c for t, c in fvec.items()}, *basis, True, gb.coding)
     if any(t not in rems for rem, _ in rems.values() for t in rem):
         raise InvariantViolation("normal form left the standard-monomial span")
-    common = lcm(*(mult for _, (mult, _) in rems.values()))
+    common = lcm(*(mult for _, mult in rems.values()))
     scale /= common
     columns = {t: gb.coding.scaled(rem, int(scale.numerator) * (common // mult))
-               for t, (rem, (mult, _)) in rems.items()}
+               for t, (rem, mult) in rems.items()}
     return MultiplicationOperator(ma, columns, int(scale.denominator))
 
 
@@ -201,12 +201,6 @@ def _algebra_of(op) -> MilnorAlgebra:
     if not isinstance(op, MultiplicationOperator):
         raise TypeError("expected the operator built by multiplication_operator")
     return op.algebra
-
-
-def _coded(ma: MilnorAlgebra, p: Polynomial):
-    """(vector, scale) with [p] = scale * vector, a coded engine vector."""
-    scale, rem, (mult, _) = ma.gb._reduce(p, False)
-    return rem, scale / mult
 
 
 def _times(op: MultiplicationOperator, vec) -> dict:
@@ -240,7 +234,7 @@ def _quotient_rows(ma: MilnorAlgebra, *gs) -> list:
     gs = [ma.gb.coding.normalized(g, max(g)) for g in gs if g]
     lines = frozenset(frozenset(g.items()) for g in gs)
     if lines not in ma._rows:
-        ma._rows[lines] = _run_buchberger([c for c, _, _ in ma.gb._cores] + gs,
+        ma._rows[lines] = _run_buchberger([c for c, _ in ma.gb._cores] + gs,
                                           ma.gb.order, ma.gb.coding)
     return ma._rows[lines]
 
@@ -257,15 +251,15 @@ def unit_ideal(ma: MilnorAlgebra, *polys) -> bool:
     """<f_x, f_y, f, polys> == (1)?  Each p is first reduced modulo tau's
     basis of <f_x, f_y, f>: when nothing is left the ideal is that one, and
     no run is made; else one run seeded with the Jacobian basis decides."""
-    fvec = _coded(ma, ma.f)[0]
+    fvec = ma.gb._reduce(ma.f)[0]
     tau_basis = list(zip(*_quotient_rows(ma, fvec)))
     return _quotient_dimension(ma, fvec, *(groebner._normal_form_core(
-        _coded(ma, p)[0], *tau_basis, None, None, ma.gb.coding)[0] for p in polys)) == 0
+        ma.gb._reduce(p)[0], *tau_basis, False, ma.gb.coding)[0] for p in polys)) == 0
 
 
 def tjurina_number(ma: MilnorAlgebra) -> int:
     """tau = dim K[x,y]/<f_x, f_y, f>; multiplication by f has rank mu - tau."""
-    return _quotient_dimension(ma, _coded(ma, ma.f)[0])
+    return _quotient_dimension(ma, ma.gb._reduce(ma.f)[0])
 
 
 def min_poly(op: MultiplicationOperator) -> UniPoly:
@@ -280,12 +274,12 @@ def min_poly(op: MultiplicationOperator) -> UniPoly:
     coding, key = ma.gb.coding, ModuleOrder(TermOrder()).key
     at = {t: key((k, 0, 0)) for k, t in enumerate(op.columns)}
     one = coding.encode({0: ma.field.one})[0][0]
-    w, scale = _coded(ma, Polynomial.constant(1, ma.field))
+    w, scale = ma.gb._reduce(Polynomial.constant(1, ma.field))
     basis, lts, scales = [], [], []
     for k in range(ma.mu + 1):
         vec = {at[t]: c for t, c in w.items()}
         vec[key((ma.mu + k, 0, 0))] = one
-        rem, _ = groebner._normal_form_core(vec, basis, lts, None, None, coding)
+        rem, _ = groebner._normal_form_core(vec, basis, lts, False, coding)
         lt = max(rem)
         scales.append(scale)
         if _unpack(lt)[0] >= ma.mu:
@@ -362,7 +356,7 @@ def jordan_profile(op: MultiplicationOperator, factor: UniPoly,
             f"{factor} does not divide the minimal polynomial {minimal}")
     last = exponent(minimal) if factor == UniPoly.t(ma.field) else None
     ranks = [ma.mu]
-    vec, _ = _coded(ma, Polynomial.constant(1, ma.field))
+    vec, _ = ma.gb._reduce(Polynomial.constant(1, ma.field))
     while len(ranks) - 1 != last and (len(ranks) == 1 or ranks[-1] != ranks[-2]):
         vec, _ = _apply_poly(factor, op, vec)
         ranks.append(ma.mu - _quotient_dimension(ma, vec))
@@ -380,7 +374,7 @@ def theta_polynomial(ma: MilnorAlgebra, op: MultiplicationOperator,
     if exponent(minimal) < 1:
         raise SmoothCurve("0 is not a critical value; no kernel witness exists")
     vec, scale = _apply_poly(minimal.shift_down(1), op,
-                             *_coded(ma, Polynomial.constant(1, ma.field)))
+                             *ma.gb._reduce(Polynomial.constant(1, ma.field)))
     theta = _core_vec(ma.gb.coding.decode(vec, scale), 1, ma.field).components[0]
     if theta.is_zero():
         raise InvariantViolation("q(f) vanished in V_f; minimal polynomial wrong")
@@ -395,7 +389,7 @@ def kernel_condition(ma: MilnorAlgebra, op: MultiplicationOperator,
 
     They span the ideal (theta) of V_f, of dimension mu - dim V_f/(theta),
     inside ker(op), whose dimension is mu - rank(op) = tau."""
-    tvec, _ = _coded(ma, theta)
+    tvec, _ = ma.gb._reduce(theta)
     if _times(op, tvec):
         raise NotInKernel("theta is not annihilated by multiplication by f")
     span_dim = ma.mu - _quotient_dimension(ma, tvec)

@@ -12,7 +12,8 @@ irredundant generating sets, and the Saito wedge test for freeness.
 Each constructed form is certified once, by the identity that builds it:
 a raw form by its relation row, the kernel form by df ^ omega = theta*f, and
 f dx, f dy, df by df ^ f dx = -f_y*f, df ^ f dy = f_x*f, df ^ df = 0.
-is_tangent checks forms from outside these constructors.
+is_tangent checks forms from outside these constructors by one untracked
+division by f; omega takes its cofactors from a membership certificate.
 """
 
 from __future__ import annotations
@@ -29,18 +30,13 @@ from .poly import (ModuleVector, OneForm, Polynomial, TermOrder, Weights,
                    exterior_derivative, format_one_form, wedge)
 
 
-def divide(p: Polynomial, f: Polynomial):
-    """(remainder, quotient) with p = quotient*f + remainder, the remainder
-    reduced modulo <f>.  [f] is already a Groebner basis of <f>, so this is
-    one division, not a Buchberger run."""
-    gb = GroebnerBasis([ModuleVector((f,))], ModuleOrder(TermOrder()), f.field, 1)
-    rem, (quotient,) = gb.normal_form(p, track_cofactors=True)
-    return rem.components[0], quotient
-
-
 def tangency_defect(f: Polynomial, w: OneForm) -> Polynomial:
-    """Normal form of f_x*Q - f_y*P modulo <f>; zero iff w is tangent."""
-    return divide(f.diff("x") * w.Q - f.diff("y") * w.P, f)[0]
+    """Normal form of f_x*Q - f_y*P modulo <f>; zero iff w is tangent.  [f]
+    is already a Groebner basis of <f>, so this is one division."""
+    if f.is_zero():
+        raise ZeroInput("need a nonzero polynomial")
+    gb = GroebnerBasis([ModuleVector((f,))], ModuleOrder(TermOrder()), f.field, 1)
+    return gb.normal_form(f.diff("x") * w.Q - f.diff("y") * w.P).components[0]
 
 
 def is_tangent(f: Polynomial, w: OneForm) -> bool:
@@ -195,7 +191,8 @@ class SaitoResult:
 
 def saito_check(pair: Sequence[OneForm], f: Polynomial) -> SaitoResult:
     """Freeness test: the pair generates freely iff its wedge is a nonzero
-    constant multiple of f."""
+    constant multiple of f.  The only candidate constant is c = wedge_m / f_m
+    at one monomial m of f, so the test is c != 0 and wedge == c*f."""
     if len(pair) != 2 or not all(isinstance(w, OneForm) for w in pair):
         raise InvalidInput("the freeness test takes exactly two forms")
     w0, winf = pair
@@ -203,12 +200,11 @@ def saito_check(pair: Sequence[OneForm], f: Polynomial) -> SaitoResult:
         if not is_tangent(f, w):
             raise NotTangent(f"not tangent to the curve: {format_one_form(w)}")
     coeff = wedge(w0, winf).coeff
-    if coeff.is_zero():
+    m, fm = next(iter(f.terms.items()))  # f != 0: is_tangent refuses it
+    c = coeff.terms.get(m, f.field.zero) / fm
+    if f.field.is_zero(c) or coeff != f * c:
         return SaitoResult(False, None, None)
-    rem, quotient = divide(coeff, f)
-    if not rem.is_zero() or not quotient.is_constant():
-        return SaitoResult(False, None, None)
-    return SaitoResult(True, quotient.constant_value(), (w0, winf))
+    return SaitoResult(True, c, (w0, winf))
 
 
 def quasihomogeneous_pair(g: Polynomial, weights: Weights):

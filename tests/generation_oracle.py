@@ -4,11 +4,14 @@ The library decides generation on an untracked basis and prunes a basis on
 the engine's integer vectors.  These are the earlier bodies they replace:
 generation decided by cofactor-tracked normal forms, each success row
 checked by recombination, and greedy pruning by public Buchberger runs on
-decoded forms.  Both use only the public Groebner layer.
+decoded forms.  The tracked normal forms are the rational oracle's
+(tests/rational_oracle.py), since the engine tracks no cofactors outside
+membership; pruning uses only the public Groebner layer.
 """
 
 from curveforms import (GeneratorSet, OneForm, buchberger, format_one_form,
                         recombine)
+import rational_oracle
 
 
 def _forms(gens):
@@ -20,7 +23,7 @@ def verify_generation(candidate, reference):
     form outside <candidate>; every certificate row is checked to recombine
     to its reference form."""
     cand_forms, ref_forms = _forms(candidate), _forms(reference)
-    gb = buchberger(cand_forms, track_cofactors=True)
+    gb = rational_oracle.buchberger(cand_forms, track_cofactors=True)
     rows = []
     for w in ref_forms:
         rem, cof = gb.normal_form(w, track_cofactors=True)

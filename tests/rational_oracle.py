@@ -4,10 +4,12 @@ over Q), every basis vector is monic and the sort key is a tuple.
 
 It is the oracle the packed, fraction-free engine is compared with.  A
 reduced Groebner basis under a fixed order is unique, and that covers the
-augmented basis with its tag rows, so bases, transforms and syzygy rows must
-come out equal.  Both kernels divide by the first basis element whose
-leading term divides the current leading term, so normal forms and
-cofactors must be equal too.
+augmented basis with its tag rows, so bases and syzygy rows must come out
+equal.  Both kernels divide by the first basis element whose leading term
+divides the current leading term, so normal forms must be equal too.  The
+engine keeps cofactors only in the tags of membership's one reduction; the
+oracle still tracks them per step and rewrites them on the inputs through
+its transform, and the two certificates must be equal.
 """
 
 from curveforms import ModuleOrder, ModuleVector, Polynomial
@@ -169,6 +171,12 @@ class OracleBasis:
         if not track_cofactors:
             return remainder
         return remainder, [Polynomial(self.field, d) for d in cof]
+
+    def cofactors_on_inputs(self, basis_cofactors):
+        """Basis cofactors rewritten on the inputs through the transform."""
+        n_inputs = len(self.transform[0]) if self.transform else 0
+        return [sum((c * row[k] for c, row in zip(basis_cofactors, self.transform)),
+                    Polynomial.zero(self.field)) for k in range(n_inputs)]
 
 
 def _augmented(vecs, rank, field, order):

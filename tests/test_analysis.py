@@ -124,8 +124,8 @@ def test_analyze_computes_tau_once(monkeypatch):
     ma = milnor.milnor_algebra(f)
     # quotient dimensions run the engine on the Jacobian basis's own vectors
     # and the normalized vector of the added class
-    cores, normalized = [c for c, _, _ in ma.gb._cores], ma.gb.coding.normalized
-    f_vec = milnor._coded(ma, f)[0]
+    cores, normalized = [c for c, _ in ma.gb._cores], ma.gb.coding.normalized
+    f_vec = ma.gb._reduce(f)[0]
     tau_seeds = cores + [normalized(f_vec, max(f_vec))]
     calls = []
     original = milnor._run_buchberger
@@ -162,8 +162,8 @@ TRACKED_CASES = [
     # (f, minimal polynomial, augmented runs, verify_generation calls,
     #  buchberger calls, runs on <f, f_x, f_y>)
     ("x*y-1", None, 0, 0, 3, 0),          # tau = 0 proves the unit ideal
-    ("x^5+y^5-x^2*y^2", None, 2, 1, 4, 1),  # omega's membership and the fallback
-    ("x^4+2*y^4+x^2-x*y^2+2*x*y-3*y^3", "z^2+1", 1, 0, 4, 1),  # omega's membership
+    ("x^5+y^5-x^2*y^2", None, 2, 1, 3, 1),  # omega's membership and the fallback
+    ("x^4+2*y^4+x^2-x*y^2+2*x*y-3*y^3", "z^2+1", 1, 0, 3, 1),  # omega's membership
     ("x^3+y^3+(2+z)*x*y-z", "z^2+1", 0, 0, 3, 0),
 ]
 
@@ -176,7 +176,8 @@ def test_analyze_tracks_and_decodes_only_what_it_reads(monkeypatch, text,
                                                        verified, built,
                                                        on_f_runs):
     # the Jacobian basis is untracked and only omega's membership certificate
-    # tracks cofactors; the relations come from the candidate's lifts, and
+    # carries cofactors, in the tags of its augmented run, with no buchberger
+    # call of its own; the relations come from the candidate's lifts, and
     # generation is decided by a run only when the candidate falls back to
     # the augmented run; the minimal stage prunes the raw set's basis, the
     # projection of the relation basis, without a run of its own, and the
@@ -193,7 +194,7 @@ def test_analyze_tracks_and_decodes_only_what_it_reads(monkeypatch, text,
     ma = milnor.milnor_algebra(f)
     on_f = {lines(groebner._seeds([ModuleVector((p,)) for p in (f, f.diff("x"), f.diff("y"))],
                                   coding, order)),
-            lines([c for c, _, _ in ma.gb._cores] + [milnor._coded(ma, f)[0]])}
+            lines([c for c, _ in ma.gb._cores] + [ma.gb._reduce(f)[0]])}
     runs, bases, verifications, rank_one, pruning = [], [], [], [], []
     original_run, original_buchberger = groebner._augmented_run, groebner.buchberger
     original_verify, original_plain = tangent.verify_generation, groebner._run_buchberger

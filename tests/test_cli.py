@@ -227,3 +227,15 @@ def test_internal_error_is_not_bad_input(monkeypatch, capsys):
     monkeypatch.setattr(cli_mod.analysis, "analyze", boom)
     assert cli_mod.main(["analyze", "-f", "x*y-1"]) == 3
     assert "synthetic internal bug" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["analyze", "-f", "x*y-1", "--json"], "missing/a.json"),
+    (["plot", "-f", "x^2+y^2-1", "--grid", "4", "--svg"], "missing/a.svg"),
+    (["corpus", "--only", "circle", "--json"], "missing/c.json"),
+    (["jordan", "-f", "x*y-1", "--json"], "."),  # a directory
+])
+def test_unwritable_output_path_is_bad_input(argv, target, tmp_path, capsys):
+    assert main(argv + [str(tmp_path / target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

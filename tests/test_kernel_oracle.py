@@ -3,9 +3,11 @@ kernel it replaced (tests/rational_oracle.py), over Q, Q(i) and a cubic field
 whose minimal polynomial is not integral, and its module membership verdicts
 against sympy.
 
-Reduced bases, transforms and syzygy rows are unique, and both kernels
-divide by the first basis element whose leading term divides, so every
-comparison is exact equality in the public types.
+Reduced bases and syzygy rows are unique, and both kernels divide by the
+first basis element whose leading term divides, so every comparison is
+exact equality in the public types.  membership's cofactors, read off the
+tags of one reduction, equal the oracle's tracked cofactors rewritten on
+the inputs through its transform.
 """
 
 import inspect
@@ -18,11 +20,11 @@ from hypothesis import given, settings
 import rational_oracle as oracle
 from curveforms import (QQ, ModuleVector, OneForm, Polynomial, TermOrder,
                         buchberger, groebner, membership, parse_polynomial,
-                        recombine, syzygies)
+                        recombine, syzygies, tangent)
 from curveforms.field import ExtElement, NumberField, Rational
 from curveforms.poly import field_from_minpoly
-from curveforms.tangent import (divide, syzygy_generators, trivial_forms,
-                                verify_generation)
+from curveforms.tangent import (saito_check, syzygy_generators, tangency_defect,
+                                trivial_forms, verify_generation)
 from test_milnor_oracle import CORPUS_CURVES
 
 GAUSS = field_from_minpoly("z^2+1")
@@ -45,8 +47,10 @@ _AUGMENTED_RUN = groebner._augmented_run
 
 def augmented_syzygies(gens, order=None):
     """The relation rows of the augmented run, which syzygy_generators falls
-    back to; kept as the oracle of the route from the lifted forms."""
-    return _AUGMENTED_RUN(*groebner._prepare(gens, order))[1]
+    back to, read by syzygies outside any count of augmented runs; kept as
+    the oracle of the route from the lifted forms."""
+    with augmented_runs():
+        return syzygies(gens, order)
 
 
 @contextmanager
@@ -57,11 +61,11 @@ def augmented_runs():
     def counting(*args):
         runs.append(args)
         return _AUGMENTED_RUN(*args)
-    groebner._augmented_run = counting
+    previous, groebner._augmented_run = groebner._augmented_run, counting
     try:
         yield runs
     finally:
-        groebner._augmented_run = _AUGMENTED_RUN
+        groebner._augmented_run = previous
 
 
 def generates_one(gens):
@@ -82,26 +86,32 @@ def assert_field_scalars(*polys):
 def assert_same_basis(gens, order):
     plain, ref = buchberger(gens, order), oracle.buchberger(gens, order)
     assert plain.generators == ref.generators
-    tracked = buchberger(gens, order, track_cofactors=True)
     ref_tracked = oracle.buchberger(gens, order, track_cofactors=True)
-    assert tracked.generators == ref_tracked.generators == plain.generators
-    assert tracked.transform == ref_tracked.transform
-    assert_field_scalars(*plain.generators, *tracked.generators,
-                         *(t for row in tracked.transform for t in row))
-    assert tracked.leading_terms() == [lt for _, lt in ref_tracked.rows]
-    return tracked, ref_tracked
+    assert ref_tracked.generators == plain.generators
+    for row, basis_vec in zip(ref_tracked.transform, ref_tracked.generators):
+        assert recombine(row, gens) == basis_vec
+    assert_field_scalars(*plain.generators)
+    assert plain.leading_terms() == [lt for _, lt in ref_tracked.rows]
+    return plain, ref_tracked
 
 
 def assert_same_normal_form(gb, ref, gens, probe):
+    """The engine's remainder and membership against the oracle's tracked
+    division; a probe outside <gens> is also tried less its remainder."""
     rem = gb.normal_form(probe)
-    assert rem == ref.normal_form(probe)
-    rem2, cof = gb.normal_form(probe, track_cofactors=True)
     ref_rem, ref_cof = ref.normal_form(probe, track_cofactors=True)
-    assert rem2 == rem == ref_rem
-    assert cof == ref_cof
-    assert_field_scalars(rem, *cof)
-    on_inputs = gb.cofactors_on_inputs(cof)
+    assert rem == ref.normal_form(probe) == ref_rem
+    assert_field_scalars(rem)
+    on_inputs = ref.cofactors_on_inputs(ref_cof)
     assert recombine(on_inputs, gens) + rem == ModuleVector.wrap(probe)
+    result = membership(probe, gens, gb.order)
+    assert result.contained == rem.is_zero()
+    if not result:
+        assert result.remainder == rem
+        assert_same_normal_form(gb, ref, gens, ModuleVector.wrap(probe) - rem)
+        return
+    assert result.cofactors == on_inputs
+    assert_field_scalars(*result.cofactors)
 
 
 @pytest.mark.parametrize("text,weights,minpoly", CURVES,
@@ -129,14 +139,20 @@ FIELDS = [QQ, GAUSS, CUBIC]
 
 
 @st.composite
+def scalars(draw, field):
+    c = field.from_rational(QQ.from_int(draw(st.integers(-4, 4))))
+    for k in range(1, field.degree):
+        if draw(st.booleans()):
+            c = c + field.generator ** k * draw(st.integers(-2, 2))
+    return c
+
+
+@st.composite
 def polys(draw, field):
     terms = {}
     for _ in range(draw(st.integers(0, 3))):
         mono = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
-        c = field.from_rational(QQ.from_int(draw(st.integers(-4, 4))))
-        for k in range(1, field.degree):
-            if draw(st.booleans()):
-                c = c + field.generator ** k * draw(st.integers(-2, 2))
+        c = draw(scalars(field))
         if c:
             terms[mono] = c
     return Polynomial(field, terms)
@@ -165,73 +181,122 @@ def test_drawn_inputs_match_oracle(case):
     assert_same_normal_form(gb, ref, gens, probe)
     assert syzygies(gens, order) == oracle.syzygies(gens, order)
     assert syzygies(gens, order) == augmented_syzygies(gens, order)
-    result = membership(probe, gens, order)
-    assert result.contained == ref.normal_form(probe).is_zero()
-    if result.contained:
-        assert recombine(result.cofactors, gens) == probe
+
+
+@contextmanager
+def tangency_assumed():
+    """saito_check takes any pair: the pairs below are drawn by their wedge,
+    which two forms tangent to a reduced f never leave off a multiple of f."""
+    original = tangent.is_tangent
+    tangent.is_tangent = lambda f, w: True
+    try:
+        yield
+    finally:
+        tangent.is_tangent = original
+
+
+@st.composite
+def wedges(draw, field):
+    """(f, W) with W = c*f, c*f plus one term, g*f with g not constant, or 0."""
+    f, x = draw(polys(field)), Polynomial.variable("x", field)
+    kind = draw(st.sampled_from(["c*f", "c*f+term", "g*f", "0"]))
+    c = draw(scalars(field).filter(bool))
+    if kind == "c*f":
+        return f, f * c
+    if kind == "c*f+term":
+        mono = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        return f, f * c + Polynomial.term(draw(scalars(field).filter(bool)), mono, field)
+    if kind == "g*f":
+        g = draw(polys(field))
+        return f, (g + x if g.is_constant() else g) * f
+    return f, Polynomial.zero(field)
 
 
 @settings(max_examples=90, deadline=None)
 @given(st.sampled_from(FIELDS).flatmap(
-    lambda field: st.tuples(polys(field), polys(field))))
+    lambda field: st.tuples(wedges(field), polys(field), polys(field))))
 def test_division_by_f_matches_principal_basis(case):
-    p, f = case
+    # tangency_defect and saito_check each divide by [f] once, untracked;
+    # the oracle's tracked division gives the quotient that decides freeness
+    (f, wedge_coeff), p, q = case
     if f.is_zero():
         return
-    rem, quotient = divide(p, f)
-    assert quotient * f + rem == p
-    assert_field_scalars(rem, quotient)
     ref = oracle.buchberger([f], track_cofactors=True)
-    ref_rem, (ref_cof,) = ref.normal_form(p, track_cofactors=True)
-    assert rem == ref_rem.components[0]
-    assert quotient == ref_cof * ref.transform[0][0]
+    fx, fy = f.diff("x"), f.diff("y")
+    defect = tangency_defect(f, OneForm(p, q))
+    assert defect == ref.normal_form(fx * q - fy * p).components[0]
+    assert_field_scalars(defect)
+    ref_rem, (ref_cof,) = ref.normal_form(wedge_coeff, track_cofactors=True)
+    quotient = ref_cof * ref.transform[0][0]
+    assert quotient * f + ref_rem.components[0] == wedge_coeff
+    free = not wedge_coeff.is_zero() and ref_rem.is_zero() and quotient.is_constant()
+    one, zero = Polynomial.constant(1, f.field), Polynomial.zero(f.field)
+    with tangency_assumed():
+        result = saito_check([OneForm(one, zero), OneForm(zero, wedge_coeff)], f)
+    assert result.free == free
+    assert result.constant == (quotient.constant_value() if free else None)
+    if free:
+        assert type(result.constant) is (Rational if f.field is QQ else ExtElement)
 
 
-# -- normal forms without cofactor tracking --------------------------------------
+# -- every normal form is one untracked reduction ---------------------------------
 
 @contextmanager
 def kernel_calls():
-    """Records the track argument of every kernel call made inside the block."""
+    """Records the exact argument of every kernel call made inside the block."""
     original = groebner._normal_form_core
-    signature, tracks = inspect.signature(original), []
+    signature, calls = inspect.signature(original), []
 
     def recording(*args, **kwargs):
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
-        tracks.append(bound.arguments["track"])
+        calls.append(bound.arguments["exact"])
         return original(*args, **kwargs)
     groebner._normal_form_core = recording
     try:
-        yield tracks
+        yield calls
     finally:
         groebner._normal_form_core = original
 
 
-def test_untracked_normal_form_tracks_no_cofactors():
+def test_membership_reads_cofactors_off_one_tagged_reduction(monkeypatch):
     f = parse_polynomial("x^3+y^3-x*y")
-    gb = buchberger([f.diff("x"), f.diff("y")])
-    with kernel_calls() as tracks:
+    jac = [f.diff("x"), f.diff("y")]
+    gb = buchberger(jac)
+    with kernel_calls() as calls:
         gb.normal_form(f * f)
         gb.reduces_to_zero(f)
-    assert tracks == [False, False]
-    with kernel_calls() as tracks:
-        gb.normal_form(f * f, track_cofactors=True)
-    assert tracks == [True]
+    assert calls == [True, True]
+    # one augmented run, whose reductions need no exact multiplier, then one
+    # exact reduction of (v | 0); no basis of the inputs alone is built
+    monkeypatch.setattr(groebner, "buchberger", None)
+    probe = f * jac[0] + parse_polynomial("x*y") * jac[1]
+    with augmented_runs() as runs, kernel_calls() as calls:
+        cert = membership(probe, jac)
+    assert len(runs) == 1 and calls[-1] and not any(calls[:-1])
+    assert recombine(cert.cofactors, jac) == ModuleVector.wrap(probe)
 
 
 @settings(max_examples=80, deadline=None)
 @given(inputs())
 def test_tracked_and_untracked_remainders_agree(case):
+    # the engine's untracked remainder by a reduced basis, or by one given
+    # generator, is the oracle's tracked one by the same (monic) vectors
     gens, order, probe = case
     rank, field = gens[0].rank, gens[0].field
     single = groebner.GroebnerBasis(gens[:1], groebner.ModuleOrder(order, rank), field, rank)
-    for gb in (buchberger(gens, order), buchberger(gens, order, track_cofactors=True),
-               single):
+    for gb in (buchberger(gens, order), single):
+        rows = []
+        for g in gb.generators:
+            core = oracle._vec_core(g)
+            lt = max(core, key=lambda t: oracle._key(gb.order, t))
+            rows.append((oracle._monic(core, lt), lt))
+        ref = oracle.OracleBasis(rows, gb.order, field, rank)
         rem = gb.normal_form(probe)
-        tracked, cof = gb.normal_form(probe, track_cofactors=True)
+        tracked, cof = ref.normal_form(probe, track_cofactors=True)
         assert rem == tracked
-        assert_field_scalars(rem, *cof)
-        assert recombine(cof, gb.generators) + rem == probe
+        assert_field_scalars(rem)
+        assert recombine(cof, ref.generators) + rem == probe
         assert gb.reduces_to_zero(probe) == rem.is_zero()
 
 

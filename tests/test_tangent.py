@@ -17,7 +17,7 @@ from curveforms import (GeneratorSet, InvalidInput, InvariantViolation,
                         smooth_generators, syzygy_generators, tangency_defect,
                         theta_polynomial, trivial_forms, verify_generation,
                         wedge)
-from curveforms import cli, tangent
+from curveforms import ZeroInput, cli, groebner, tangent
 from conftest import tame_curves, through_origin
 import generation_oracle as oracle
 
@@ -37,6 +37,14 @@ def test_tangency_defect():
     f = _p("x*y-1")
     assert tangency_defect(f, exterior_derivative(f)).is_zero()
     assert not tangency_defect(f, _form("1", "0")).is_zero()
+
+
+def test_zero_curve_is_a_typed_error():
+    zero, w = Polynomial.zero(), _form("1", "0")
+    with pytest.raises(ZeroInput):
+        is_tangent(zero, w)
+    with pytest.raises(ZeroInput):
+        saito_check([w, _form("0", "1")], zero)
 
 
 GAUSSIAN = field_from_minpoly("z^2+1")
@@ -134,12 +142,17 @@ def test_corrupted_kernel_cofactor_is_an_invariant_violation(monkeypatch, capsys
     assert "wedge identity for the kernel form failed" in capsys.readouterr().err
 
 
-def test_jacobian_basis_tracks_no_cofactors():
+def test_jacobian_basis_tracks_no_cofactors(monkeypatch):
     # omega takes its cofactors from a membership certificate, so the Milnor
-    # algebra's basis carries no transform to the inputs
-    ma = milnor_algebra(_p(ACAMPO))
-    with pytest.raises(InvalidInput):
-        ma.gb.cofactors_on_inputs([Polynomial.zero()] * len(ma.gb))
+    # algebra's basis is built without an augmented run
+    runs, original = [], groebner._augmented_run
+
+    def recording(*args):
+        runs.append(args)
+        return original(*args)
+    monkeypatch.setattr(groebner, "_augmented_run", recording)
+    milnor_algebra(_p(ACAMPO))
+    assert not runs
 
 
 @pytest.mark.parametrize("text, minpoly, count", [
