@@ -10,7 +10,7 @@ from .errors import (CurveFormsError, DegenerateWindow, DivisionByZero,
 from .field import QQ, NumberField, Rational, rational
 from .groebner import (GroebnerBasis, Membership, ModuleOrder, ModuleVector,
                        buchberger, membership, recombine, syzygies)
-from .linalg import Matrix, UniPoly, matrix_min_poly
+from .linalg import UniPoly
 from .milnor import (CriticalFactor, JordanProfile, MilnorAlgebra, TameResult,
                      check_tame, critical_value_factors, exponent,
                      jordan_profile, kernel_condition, milnor_algebra,

@@ -197,12 +197,13 @@ def analyze(f: Polynomial, weights: Weights = Weights(1, 1), *,
     # else the Tjurina run's rows also serve unit_ideal and kernel_condition
     report.tau = milnor.tjurina_number(ma) if report.exponent else 0
     report.critical_factors = milnor.critical_value_factors(p)
-    report.jordan = [milnor.jordan_profile(op, cfac.factor, p)
+    report.jordan = [milnor.jordan_profile(op, cfac.factor)
                      for cfac in report.critical_factors]
-    if report.exponent >= 1:
+    # at e = 1 every block at 0 has size 1, and no warning can fire
+    if report.exponent >= 2:
         t = UniPoly.t(f.field)
         zero = next((jp for jp in report.jordan if jp.factor == t), None)
-        warning = appendix_block_warning(zero or milnor.jordan_profile(op, t, p))
+        warning = appendix_block_warning(zero or milnor.jordan_profile(op, t))
         if warning:
             report.warnings.append(warning)
     timings["milnor"] = time.perf_counter() - t0
@@ -225,7 +226,7 @@ def analyze(f: Polynomial, weights: Weights = Weights(1, 1), *,
     if report.exponent == 0:
         candidate = tangent.smooth_generators(f, report.exponent)
     else:
-        theta = milnor.theta_polynomial(ma, op, p)
+        theta = milnor.theta_polynomial(ma, op)
         report.theta = theta
         report.kernel_condition = milnor.kernel_condition(ma, op, theta)
         candidate = tangent.four_generators(f, ma, theta)

@@ -1,16 +1,16 @@
-"""Exact dense linear algebra over the coefficient field.
+"""Univariate polynomials over the coefficient field, and the dense matrix
+reference.
 
-Rank uses fraction-free (Bareiss) elimination; kernels come from reduced
-row echelon form.  `sequence_annihilator` finds the first linear dependence
-in a sequence of vectors by an incremental echelon solve over the field.
-Univariate polynomials carry the squarefree-decomposition machinery; their
-gcd runs on the Groebner engine's integer coding.  No eigenvectors are ever
-computed.
+UniPoly carries the squarefree-decomposition machinery; its gcd runs on the
+Groebner engine's integer coding.  No eigenvectors are ever computed.
 
-`sequence_annihilator`, `matrix_min_poly`, `UniPoly.eval_matrix` and
-`Matrix.__mul__` work over field scalars, on whole matrices and powers of
-them; the pipeline no longer calls them, and they are kept as the dense
-reference that the tests compare against.
+The pipeline runs no dense linear algebra.  What is left of it here --
+`Matrix` with `zeros`, `identity`, `scale`, `__mul__`, `is_square` and a
+fraction-free (Bareiss) `rank`, `sequence_annihilator`, `matrix_min_poly`
+and `UniPoly.eval_matrix` -- works over field scalars, on whole matrices
+and their powers.  bench/tracing.py wraps `matrix_min_poly`, `Matrix.rank`,
+`Matrix.__mul__` and `UniPoly.eval_matrix` by name, which pins these names;
+the rest of the dense toolkit lives in tests/dense_oracle.py.
 """
 
 from __future__ import annotations
@@ -48,11 +48,6 @@ class Matrix:
             m.entries[k][k] = field.one
         return m
 
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.field == other.field and self.entries == other.entries
-
     def scale(self, c) -> "Matrix":
         return Matrix(self.field, [[a * c for a in row] for row in self.entries])
 
@@ -65,27 +60,6 @@ class Matrix:
             return Matrix(self.field, [[sum((a * b for a, b in zip(row, col)), self.field.zero)
                                         for col in cols] for row in self.entries])
         return self.scale(other)
-
-    def apply(self, vec: Sequence):
-        """Matrix-vector product; zero coordinates and entries are skipped."""
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
-        is_zero = self.field.is_zero
-        support = [(j, v) for j, v in enumerate(vec) if not is_zero(v)]
-        zero = self.field.zero
-        out = []
-        for row in self.entries:
-            s = zero
-            for j, v in support:
-                a = row[j]
-                if not is_zero(a):
-                    s = s + a * v
-            out.append(s)
-        return out
-
-    def is_zero(self) -> bool:
-        z = self.field.is_zero
-        return all(z(a) for row in self.entries for a in row)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -112,50 +86,6 @@ class Matrix:
             prev = pivot
             r += 1
         return r
-
-    def rref(self):
-        """Reduced row echelon form; returns (matrix rows, pivot columns)."""
-        m = [list(row) for row in self.entries]
-        rows, cols = self.rows, self.cols
-        zero = self.field.is_zero
-        pivots = []
-        r = 0
-        for c in range(cols):
-            if r == rows:
-                break
-            pivot_row = next((k for k in range(r, rows) if not zero(m[k][c])), None)
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [a * inv for a in m[r]]
-            for k in range(rows):
-                if k != r and not zero(m[k][c]):
-                    factor = m[k][c]
-                    m[k] = [a - factor * b for a, b in zip(m[k], m[r])]
-            pivots.append(c)
-            r += 1
-        return m, pivots
-
-    def kernel_basis(self):
-        """Exact basis of the null space; length = cols - rank."""
-        m, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        zero, one = self.field.zero, self.field.one
-        for fc in free:
-            vec = [zero] * self.cols
-            vec[fc] = one
-            for r, pc in enumerate(pivots):
-                vec[pc] = -m[r][fc]
-            basis.append(vec)
-        return basis
-
-    def __repr__(self):
-        body = "; ".join(" ".join(self.field.format_scalar(a) for a in row)
-                         for row in self.entries)
-        return f"<Matrix {self.rows}x{self.cols} [{body}]>"
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,28 @@
 """Jacobian quotient of a curve polynomial and multiplication by f.
 
-V = K[x,y]/<f_x, f_y> with a standard-monomial basis, the matrix of the
-multiplication-by-f operator, its minimal polynomial, the multiplicity of
-the root 0, and Jordan block sizes recovered from rank sequences.
+V = K[x,y]/<f_x, f_y> with a standard-monomial basis, the multiplication-by-f
+operator as coded columns, its minimal polynomial, the multiplicity of the
+root 0, and Jordan block sizes recovered from rank sequences.
 
-V is a unital commutative algebra, so nothing here needs powers of the
-mu x mu matrix.  The minimal polynomial of multiplication by f is the
+V is a unital commutative algebra, so nothing here needs the mu x mu matrix
+or its powers.  The minimal polynomial p of multiplication by f is the
 annihilator of the class [1], read off the Krylov sequence [1], [f],
-[f^2], ... (Wiedemann 1986).  Multiplication by a class g has the ideal
-(g) of V as its image, so its rank is mu - dim K[x,y]/<f_x, f_y, g>, a
-count of standard monomials; rank sequences and the Tjurina number
-tau = dim K[x,y]/<f_x, f_y, f> are quotient dimensions.  All of it runs in
-the Groebner engine's integer coding of the field: the operator is an
-integer matrix over one denominator, a class a coded vector with one
-rational scale, and the engine's reduction finds the Krylov dependence.
-Field scalars appear only in the results.
+[f^2], ... (Wiedemann 1986).  The classes [f^k], k < deg p, that this passes
+are kept on the operator, so every class h(f) with deg h < deg p, theta =
+q(f) among them, is their combination with the coefficients of h.
+Multiplication by a class g has the ideal (g) of V as its image, so its rank
+is mu - dim K[x,y]/<f_x, f_y, g>, a count of standard monomials; rank
+sequences and the Tjurina number tau = dim K[x,y]/<f_x, f_y, f> are
+quotient dimensions.  All of it runs in the Groebner engine's integer
+coding of the field: the operator is integer columns over one denominator,
+a class a coded vector with one rational scale, and the engine's reduction
+finds the Krylov dependence.  Field scalars appear only in the results.
 
 The minimal polynomial p fixes three facts that need no further run: op is
 invertible exactly when t does not divide p, so tau = 0 at exponent 0; p is
-squarefree when gcd(p, p') = 1; and the ranks of h(op)^k stop falling at
-the largest block, so p(op) = 0 has ranks mu, 0 and t's stop at r_e, with
-e the multiplicity of the root 0 of p.
+squarefree when gcd(p, p') = 1; and h(op)^k has the rank of
+gcd(p, h^k)(op), so the ranks at h stop falling once gcd(p, h^k) stops
+growing, and p(op) = 0 has ranks mu, 0.
 """
 
 from __future__ import annotations
@@ -32,10 +34,9 @@ from typing import Optional
 from .errors import (FactorNotDividing, InvariantViolation, NotFiniteDimensional,
                      NotInKernel, NotTame, SmoothCurve, ZeroInput)
 from . import groebner
-from .field import Rational
 from .groebner import (GroebnerBasis, ModuleOrder, _core_vec, _run_buchberger,
                        _unpack, buchberger)
-from .linalg import Matrix, UniPoly
+from .linalg import UniPoly
 # the dense reference stays bound here: bench/test_bench.py reads
 # milnor.matrix_min_poly when it checks the tracer's bindings
 from .linalg import matrix_min_poly  # noqa: F401
@@ -157,28 +158,21 @@ def milnor_algebra(f: Polynomial, weights: Weights = Weights(1, 1), *,
                          unique_top=unique_top)
 
 
-class MultiplicationOperator(Matrix):
+class MultiplicationOperator:
     """Multiplication by f on V_f, together with the algebra it acts on:
     ``columns`` maps the packed code of each basis monomial m to the coded
-    coordinates of den * f*m.  The Matrix entries are decoded on first use."""
+    coordinates of den * f*m.  ``krylov`` is filled once, by min_poly: the
+    minimal polynomial p and the pairs (w_k, scale_k), [f^k] = scale_k * w_k
+    for k < deg p."""
 
-    __slots__ = ("algebra", "columns", "den", "_entries")
+    __slots__ = ("algebra", "columns", "den", "krylov")
 
     def __init__(self, algebra: MilnorAlgebra, columns: dict, den: int):
-        self.field, self.rows, self.cols = algebra.field, algebra.mu, algebra.mu
-        self.algebra, self.columns, self.den, self._entries = algebra, columns, den, None
-
-    @property
-    def entries(self):
-        if self._entries is None:
-            decode, zero = self.algebra.gb.coding.decode, self.field.zero
-            cols = [decode(c, Rational(1, self.den)) for c in self.columns.values()]
-            self._entries = [[c.get(t, zero) for c in cols] for t in self.columns]
-        return self._entries
+        self.algebra, self.columns, self.den, self.krylov = algebra, columns, den, None
 
 
 def multiplication_operator(ma: MilnorAlgebra) -> MultiplicationOperator:
-    """Matrix of [P] -> [f*P]: column m is the kernel's remainder of m times
+    """Columns of [P] -> [f*P]: column m is the kernel's remainder of m times
     the coded class of f, and the columns share one denominator."""
     gb, key = ma.gb, ma.gb.order.key
     fvec, scale = gb._reduce(ma.f)
@@ -211,20 +205,16 @@ def _times(op: MultiplicationOperator, vec) -> dict:
     return coding.scaled(out, -1)
 
 
-def _apply_poly(h: UniPoly, op: MultiplicationOperator, vec, scale=1):
-    """h(op) applied to scale * vec, as (vector, scale).  With op = N/D and
-    h = s*H on the coding, D^n * h(op) = sum H_i * D^(n-i) * N^i, summed by
-    Horner's rule; the coding of -h lets each step subtract."""
-    coding = op.algebra.gb.coding
-    neg, s = coding.encode({i: -c for i, c in enumerate(h.coeffs) if c})
-    acc, dvec = {}, vec
-    for i in reversed(range(len(h.coeffs))):
-        acc = _times(op, acc)
-        if i in neg:
-            coding.subtract(acc, neg[i], dvec, None, 0)
-        dvec = coding.scaled(dvec, op.den)
+def _class_of(op: MultiplicationOperator, h: UniPoly):
+    """[h(f)] for deg h < deg p as (vector, scale): the Krylov combination
+    sum h_i * scale_i * w_i, summed on the coding of -h_i * scale_i."""
+    coding, krylov = op.algebra.gb.coding, _krylov(op)[1]
+    neg, s = coding.encode({i: -c * krylov[i][1] for i, c in enumerate(h.coeffs) if c})
+    acc = {}
+    for i, c in neg.items():
+        coding.subtract(acc, c, krylov[i][0], None, 0)
     g = coding.content(0, [acc]) or 1
-    return coding.divided(acc, g), scale * s * g / op.den ** h.degree()
+    return coding.divided(acc, g), s * g
 
 
 def _quotient_rows(ma: MilnorAlgebra, *gs) -> list:
@@ -262,36 +252,47 @@ def tjurina_number(ma: MilnorAlgebra) -> int:
     return _quotient_dimension(ma, ma.gb._reduce(ma.f)[0])
 
 
-def min_poly(op: MultiplicationOperator) -> UniPoly:
-    """Monic minimal polynomial of the multiplication operator: the
-    annihilator of [1] in the Krylov sequence [1], [f], [f^2], ...
+def _krylov(op: MultiplicationOperator) -> tuple:
+    """op.krylov, filled on first use: the annihilator p of [1] in the
+    Krylov sequence [1], [f], [f^2], ..., and the pairs (w_k, scale_k).
 
     [f^k] = scale_k * w_k, w_{k+1} = op.den * op(w_k) / content.  The kernel
     reduces w_k, its coordinates at positions 0 .. mu-1 and a unit tag at
     mu + k, against the earlier ones; the first whose coordinates vanish
     leaves the dependence in its tags."""
     ma = _algebra_of(op)
+    if op.krylov is not None:
+        return op.krylov
     coding, key = ma.gb.coding, ModuleOrder(TermOrder()).key
     at = {t: key((k, 0, 0)) for k, t in enumerate(op.columns)}
     one = coding.encode({0: ma.field.one})[0][0]
     w, scale = ma.gb._reduce(Polynomial.constant(1, ma.field))
-    basis, lts, scales = [], [], []
+    basis, lts, krylov = [], [], []
     for k in range(ma.mu + 1):
         vec = {at[t]: c for t, c in w.items()}
         vec[key((ma.mu + k, 0, 0))] = one
         rem, _ = groebner._normal_form_core(vec, basis, lts, False, coding)
         lt = max(rem)
-        scales.append(scale)
         if _unpack(lt)[0] >= ma.mu:
             tags = coding.decode(rem, 1)
-            return UniPoly([tags.get(key((ma.mu + i, 0, 0)), ma.field.zero) * (1 / s)
-                            for i, s in enumerate(scales)], ma.field).monic()
+            scales = [s for _, s in krylov] + [scale]
+            p = UniPoly([tags.get(key((ma.mu + i, 0, 0)), ma.field.zero) * (1 / s)
+                         for i, s in enumerate(scales)], ma.field).monic()
+            op.krylov = p, krylov
+            return op.krylov
+        krylov.append((w, scale))
         basis.append(coding.normalized(rem, lt))
         lts.append(lt)
         w = _times(op, w)
         g = coding.content(0, [w]) or 1
         w, scale = coding.divided(w, g), scale * g / op.den
     raise InvariantViolation("the Krylov vectors admit no linear dependence")
+
+
+def min_poly(op: MultiplicationOperator) -> UniPoly:
+    """Monic minimal polynomial of the multiplication operator, read off the
+    Krylov sequence of [1] on first use and kept on the operator."""
+    return _krylov(op)[0]
 
 
 def exponent(p: UniPoly) -> int:
@@ -336,45 +337,42 @@ def blocks_from_ranks(ranks) -> dict:
     return {size: count for size, count in counts.items() if count}
 
 
-def jordan_profile(op: MultiplicationOperator, factor: UniPoly,
-                   minimal: Optional[UniPoly] = None) -> JordanProfile:
+def jordan_profile(op: MultiplicationOperator, factor: UniPoly) -> JordanProfile:
     """Block sizes at the roots of ``factor`` from the rank sequence of
-    factor(op)^k.  factor(op)^k is multiplication by g_k = factor(f)^k, so
-    its rank is mu - dim K[x,y]/<f_x, f_y, g_k>; the coordinates of g_k
-    come from applying factor(op) to those of g_{k-1}.
+    h(op)^k, h = factor.
 
-    ``minimal`` must be op's minimal polynomial p (min_poly(op) when None).
-    The ranks fall strictly until k is the largest block size; so p(op) = 0
-    has ranks mu, 0, and t's stop at r_e, e the multiplicity of t in p."""
+    p(op) = 0 for the minimal polynomial p, so ker a(op) = ker gcd(a, p)(op)
+    and h(op)^k has the rank of d_k(op), d_k = gcd(p, h^k) =
+    d_{k-1} * gcd(p/d_{k-1}, h): mu - dim K[x,y]/<f_x, f_y, d_k(f)>, or 0
+    once d_k = p.  The ranks fall strictly exactly while d_k grows, so the
+    sequence stops when gcd(p/d_k, h) = 1."""
     ma = _algebra_of(op)
-    if minimal is None:
-        minimal = min_poly(op)
-    if factor == minimal:
+    p = _krylov(op)[0]
+    if factor == p:
         return JordanProfile(factor, blocks_from_ranks([ma.mu, 0]))
-    if not (minimal % factor).is_zero():
+    if not (p % factor).is_zero():
         raise FactorNotDividing(
-            f"{factor} does not divide the minimal polynomial {minimal}")
-    last = exponent(minimal) if factor == UniPoly.t(ma.field) else None
-    ranks = [ma.mu]
-    vec, _ = ma.gb._reduce(Polynomial.constant(1, ma.field))
-    while len(ranks) - 1 != last and (len(ranks) == 1 or ranks[-1] != ranks[-2]):
-        vec, _ = _apply_poly(factor, op, vec)
-        ranks.append(ma.mu - _quotient_dimension(ma, vec))
+            f"{factor} does not divide the minimal polynomial {p}")
+    ranks, d = [ma.mu], factor.monic()
+    while d != p:
+        ranks.append(ma.mu - _quotient_dimension(ma, _class_of(op, d)[0]))
+        step = p.exact_div(d).gcd(factor)
+        if step.degree() == 0:
+            break
+        d = d * step
+    else:
+        ranks.append(0)
     return JordanProfile(factor, blocks_from_ranks(ranks))
 
 
-def theta_polynomial(ma: MilnorAlgebra, op: MultiplicationOperator,
-                     minimal: Optional[UniPoly] = None) -> Polynomial:
+def theta_polynomial(ma: MilnorAlgebra, op: MultiplicationOperator) -> Polynomial:
     """Degree-bounded representative of q(f) in V_f, where p(t) = t*q(t).
 
-    Computed as q(op) applied to the coordinates of [1], never by expanding
-    q(f) symbolically."""
-    if minimal is None:
-        minimal = min_poly(op)
-    if exponent(minimal) < 1:
+    The Krylov combination of q, never an expansion of q(f)."""
+    p = _krylov(op)[0]
+    if exponent(p) < 1:
         raise SmoothCurve("0 is not a critical value; no kernel witness exists")
-    vec, scale = _apply_poly(minimal.shift_down(1), op,
-                             *ma.gb._reduce(Polynomial.constant(1, ma.field)))
+    vec, scale = _class_of(op, p.shift_down(1))
     theta = _core_vec(ma.gb.coding.decode(vec, scale), 1, ma.field).components[0]
     if theta.is_zero():
         raise InvariantViolation("q(f) vanished in V_f; minimal polynomial wrong")

@@ -4,20 +4,24 @@
 
 Writes ``analyze(...).to_json() + "\\n"`` -- exactly what
 ``curveforms analyze --json`` writes -- for every case below into
-tests/golden/<name>.json.  Record only from a commit whose reports are
-trusted: every later run must reproduce these files byte for byte.
+tests/golden/<name>.json, and every corpus check (fixture, name, ok,
+detail; no timings) into tests/golden/corpus_checks.json.
+Record only from a commit whose reports are trusted: every later run must
+reproduce these files byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 
 from curveforms import QQ, Weights, analyze, parse_polynomial
-from curveforms.corpus import GRAPH_POLYS
+from curveforms.corpus import GRAPH_POLYS, run_corpus
 from curveforms.poly import field_from_minpoly
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+CORPUS_CHECKS = os.path.join(GOLDEN_DIR, "corpus_checks.json")
 
 # name -> (polynomial, weights, minimal polynomial or None, allow_untame)
 CASES = {
@@ -70,12 +74,21 @@ def report_json(name: str) -> str:
     return report.to_json() + "\n"
 
 
+def corpus_checks() -> list:
+    """[fixture, check name, ok, detail] for every check of the corpus."""
+    return [[c.fixture, c.name, c.ok, c.detail]
+            for r in run_corpus() for c in r.checks]
+
+
 def main() -> int:
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for name in CASES:
         with open(golden_path(name), "w", encoding="utf-8", newline="") as fh:
             fh.write(report_json(name))
-    print(f"wrote {len(CASES)} reports to {GOLDEN_DIR}")
+    with open(CORPUS_CHECKS, "w", encoding="utf-8", newline="") as fh:
+        rows = (json.dumps(row) for row in corpus_checks())
+        fh.write("[\n" + ",\n".join(rows) + "\n]\n")
+    print(f"wrote {len(CASES)} reports and the corpus checks to {GOLDEN_DIR}")
     return 0
 
 

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from curveforms import (QQ, ModuleVector, TermOrder, Weights, analyze,
-                        groebner, milnor, parse_polynomial, tangent)
+from curveforms import (QQ, ModuleVector, TermOrder, UniPoly, Weights,
+                        analysis, analyze, groebner, milnor, parse_polynomial,
+                        rational, tangent)
 from curveforms.poly import field_from_minpoly
 
 
@@ -42,9 +43,9 @@ def _count_profiles(monkeypatch, text):
     calls = []
     original = milnor.jordan_profile
 
-    def counting(op, factor, minimal=None):
+    def counting(op, factor):
         calls.append(str(factor))
-        return original(op, factor, minimal)
+        return original(op, factor)
 
     monkeypatch.setattr(milnor, "jordan_profile", counting)
     rep = analyze(parse_polynomial(text))
@@ -57,11 +58,26 @@ def test_profile_at_zero_reused_when_t_is_a_factor(monkeypatch):
     assert [str(jp.factor) for jp in rep.jordan] == ["t+16/3125", "t"]
 
 
-def test_profile_at_zero_computed_when_t_is_not_a_factor(monkeypatch):
-    # 0 and -1 are both simple roots of the minimal polynomial t^2+t
+def test_profile_at_zero_skipped_at_exponent_one(monkeypatch):
+    # 0 and -1 are both simple roots of the minimal polynomial t^2+t; at
+    # e = 1 every block at 0 has size 1, so no profile at t is needed
     rep, calls = _count_profiles(monkeypatch, "x^3+y^3-3*x*y")
-    assert calls == ["t^2+t", "t"]
+    assert calls == ["t^2+t"]
     assert rep.warnings == []
+
+
+def test_profile_at_zero_computed_when_t_is_not_a_factor(monkeypatch):
+    # t shares a squarefree factor with another root of the same
+    # multiplicity e >= 2; no low-degree curve shows one, so the split of
+    # A'Campo's p = t^2 (t + 16/3125) is patched to the divisor t^2+c*t
+    merged = milnor.CriticalFactor(UniPoly((0, rational(16, 3125), 1)), 1, ())
+    monkeypatch.setattr(milnor, "critical_value_factors", lambda p: [merged])
+    seen = []
+    monkeypatch.setattr(analysis, "appendix_block_warning",
+                        lambda profile: seen.append(profile.blocks))
+    rep, calls = _count_profiles(monkeypatch, "x^5+y^5-x^2*y^2")
+    assert calls == ["t^2+16/3125*t", "t"]
+    assert seen == [{1: 9, 2: 1}]
 
 
 def test_not_tame_report():

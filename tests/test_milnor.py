@@ -2,7 +2,7 @@
 
 import pytest
 
-from curveforms import (FactorNotDividing, Matrix, NotInKernel, NotTame,
+from curveforms import (FactorNotDividing, NotInKernel, NotTame,
                         QQ, SmoothCurve, TermOrder, UniPoly, Weights,
                         ZeroInput, critical_value_factors, check_tame,
                         exponent, jordan_profile, kernel_condition,
@@ -12,8 +12,10 @@ from curveforms import (FactorNotDividing, Matrix, NotInKernel, NotTame,
 from curveforms import milnor
 from curveforms.milnor import standard_monomials
 from curveforms.groebner import buchberger
+from curveforms.linalg import Matrix
 from conftest import recording_calls
-from dense_oracle import dense_jordan_profile
+from dense_oracle import (dense_jordan_profile, dense_operator, is_zero,
+                          kernel_basis, monic_divisors)
 
 
 def _p(text):
@@ -89,18 +91,20 @@ def test_graph_curve_mu_zero():
 def test_operator_on_smooth_circle():
     ma = milnor_algebra(_p("x^2+y^2-1"))
     op = multiplication_operator(ma)
-    assert op.entries == [[QQ.from_int(-1)]]
+    assert dense_operator(op).entries == [[QQ.from_int(-1)]]
 
 
 def test_operator_on_hyperbola():
     ma = milnor_algebra(_p("x*y-1"))
     op = multiplication_operator(ma)
-    assert op.entries == [[QQ.from_int(-1)]]
+    assert dense_operator(op).entries == [[QQ.from_int(-1)]]
 
 
 def test_operator_vanishes_for_weighted_homogeneous():
     ma = milnor_algebra(_p("x^3+y^3"))
-    assert multiplication_operator(ma).is_zero()
+    op = multiplication_operator(ma)
+    assert not any(op.columns.values())
+    assert is_zero(dense_operator(op))
 
 
 # -- minimal polynomial -------------------------------------------------------------
@@ -114,27 +118,13 @@ def test_min_poly_examples():
         milnor_algebra(_p("x^3+y^3")))) == UniPoly((0, 1))
 
 
-def _proper_monic_divisors(p):
-    """All proper monic divisors assembled from the squarefree factors."""
-    factors = []
-    for fac, mult in p.squarefree_decompose():
-        factors.extend([fac] * mult)
-    n = len(factors)
-    for mask in range(2 ** n - 1):
-        d = UniPoly.one()
-        for k in range(n):
-            if mask & (1 << k):
-                d = d * factors[k]
-        yield d
-
-
 def test_min_poly_is_minimal_acampo():
     op = multiplication_operator(milnor_algebra(_p(ACAMPO)))
-    p = min_poly(op)
-    assert p.eval_matrix(op).is_zero()
-    for divisor in _proper_monic_divisors(p):
-        if divisor.degree() < p.degree():
-            assert not divisor.eval_matrix(op).is_zero()
+    p, m = min_poly(op), dense_operator(op)
+    assert is_zero(p.eval_matrix(m))
+    for divisor in monic_divisors(p):
+        if divisor != p:
+            assert not is_zero(divisor.eval_matrix(m))
 
 
 # -- critical values and the exponent ------------------------------------------------
@@ -164,12 +154,12 @@ def test_exponent_values():
 
 def test_jordan_profiles_acampo():
     op = multiplication_operator(milnor_algebra(_p(ACAMPO)))
-    p = min_poly(op)
-    assert jordan_profile(op, UniPoly.t(), p).blocks == {1: 9, 2: 1}
+    assert jordan_profile(op, UniPoly.t()).blocks == {1: 9, 2: 1}
     other = UniPoly((rational(16, 3125), 1))
-    assert jordan_profile(op, other, p).blocks == {1: 5}
-    assert op.rank() == 6
-    assert len(op.kernel_basis()) == 10
+    assert jordan_profile(op, other).blocks == {1: 5}
+    m = dense_operator(op)
+    assert m.rank() == 6
+    assert len(kernel_basis(m)) == 10
 
 
 def test_jordan_profile_zero_matrix():
@@ -183,14 +173,14 @@ def test_milnor_routines_need_the_algebra():
     with pytest.raises(TypeError):
         min_poly(op)
     with pytest.raises(TypeError):
-        jordan_profile(op, UniPoly.t(), UniPoly.t())
+        jordan_profile(op, UniPoly.t())
 
 
 def test_tjurina_number_acampo():
     # rank(op) = mu - tau: 16 - 10 = 6
     ma = milnor_algebra(_p(ACAMPO))
     assert tjurina_number(ma) == 10
-    assert multiplication_operator(ma).rank() == ma.mu - 10
+    assert dense_operator(multiplication_operator(ma)).rank() == ma.mu - 10
 
 
 def test_tjurina_number_equals_mu_for_weighted_homogeneous():
@@ -201,17 +191,16 @@ def test_tjurina_number_equals_mu_for_weighted_homogeneous():
 def test_shifted_operator_rank():
     # 5 one-dimensional kernel directions at the nonzero eigenvalue: 16-5
     op = multiplication_operator(milnor_algebra(_p(ACAMPO)))
-    shifted = UniPoly((rational(16, 3125), 1)).eval_matrix(op)
+    shifted = UniPoly((rational(16, 3125), 1)).eval_matrix(dense_operator(op))
     assert shifted.rank() == 11
 
 
 def test_jordan_block_dimensions_sum_to_mu():
     ma = milnor_algebra(_p(ACAMPO))
     op = multiplication_operator(ma)
-    p = min_poly(op)
     total = 0
-    for cfac in critical_value_factors(p):
-        total += jordan_profile(op, cfac.factor, p).total_dimension()
+    for cfac in critical_value_factors(min_poly(op)):
+        total += jordan_profile(op, cfac.factor).total_dimension()
     assert total == ma.mu
 
 
@@ -225,24 +214,34 @@ def test_jordan_factor_must_divide():
 
 
 def test_jordan_profile_of_the_minimal_polynomial_needs_no_rank(monkeypatch):
-    # p(op) = 0, so the ranks are mu, 0 without a Horner step or a run
+    # p(op) = 0, so the ranks are mu, 0 without a Krylov combination or a run
     op = multiplication_operator(milnor_algebra(_p("x^3+y^3-3*x*y")))
     p = min_poly(op)
     assert p == UniPoly((0, 1, 1))
-    calls = recording_calls(monkeypatch, milnor, "_apply_poly", "_quotient_dimension")
-    assert jordan_profile(op, p, p).blocks == {1: 4}
-    assert calls == {"_apply_poly": 0, "_quotient_dimension": 0}
+    calls = recording_calls(monkeypatch, milnor, "_class_of", "_quotient_dimension")
+    assert jordan_profile(op, p).blocks == {1: 4}
+    assert calls == {"_class_of": 0, "_quotient_dimension": 0}
 
 
 def test_jordan_profile_at_zero_stops_at_the_exponent(monkeypatch):
-    # the largest block at 0 has the size e = 2 of the root 0 of p, so the
-    # ranks r_1, r_2 take one Horner step each and r_3 = r_2 takes none
+    # p = t^2 (t + 16/3125): d_1 = t and d_2 = t^2 give the ranks r_1, r_2,
+    # one Krylov combination and one run each; gcd(p/t^2, t) = 1 stops there
     op = multiplication_operator(milnor_algebra(_p(ACAMPO)))
     p = min_poly(op)
     assert exponent(p) == 2
-    calls = recording_calls(monkeypatch, milnor, "_apply_poly", "_quotient_dimension")
-    assert jordan_profile(op, UniPoly.t(), p).blocks == {1: 9, 2: 1}
-    assert calls == {"_apply_poly": 2, "_quotient_dimension": 2}
+    calls = recording_calls(monkeypatch, milnor, "_class_of", "_quotient_dimension")
+    assert jordan_profile(op, UniPoly.t()).blocks == {1: 9, 2: 1}
+    assert calls == {"_class_of": 2, "_quotient_dimension": 2}
+
+
+def test_jordan_profile_at_a_simple_factor_needs_one_run(monkeypatch):
+    # gcd(p/h, h) = 1 for h = t + 16/3125, so r_1 ends the sequence and no
+    # run confirms that r_2 = r_1
+    op = multiplication_operator(milnor_algebra(_p(ACAMPO)))
+    min_poly(op)
+    calls = recording_calls(monkeypatch, milnor, "_quotient_dimension")
+    assert jordan_profile(op, UniPoly((rational(16, 3125), 1))).blocks == {1: 5}
+    assert calls == {"_quotient_dimension": 1}
 
 
 # -- theta and the kernel condition ----------------------------------------------------

@@ -8,7 +8,9 @@ All must agree on every corpus curve with a finite Jacobian quotient, on
 the golden inputs and on drawn tame curves over Q, Q(i) and a cubic field
 whose minimal polynomial is not integral.  So must the tau and the Jordan
 profiles that analyze reports, which it reads partly off the minimal
-polynomial instead of running the rank sequences out.
+polynomial instead of running the rank sequences out, and the profile at
+every monic divisor of p assembled from its squarefree factors, which the
+library reads off the chain gcd(p, h^k) of divisors of p.
 """
 
 import hypothesis.strategies as st
@@ -17,13 +19,15 @@ from hypothesis import given, settings
 
 from curveforms import (QQ, Polynomial, UniPoly, Weights, analyze,
                         critical_value_factors, exponent, jordan_profile,
-                        kernel_condition, matrix_min_poly, milnor_algebra,
-                        min_poly, multiplication_operator, parse_polynomial,
+                        kernel_condition, milnor_algebra, min_poly,
+                        multiplication_operator, parse_polynomial,
                         theta_polynomial, tjurina_number)
+from curveforms.linalg import matrix_min_poly
 from curveforms.poly import field_from_minpoly
 import dense_oracle as oracle
 from conftest import tame_curves
-from dense_oracle import dense_jordan_profile, dense_kernel_condition
+from dense_oracle import (dense_jordan_profile, dense_kernel_condition,
+                          dense_operator, monic_divisors)
 from record_golden import CASES
 
 # (text, weights, minimal polynomial of the field); the Riccati curve
@@ -56,11 +60,20 @@ def assert_matches_rational(ma, op, p):
     if exponent(p) >= 1:
         factors.append(UniPoly.t(ma.field))
     for factor in factors:
-        assert jordan_profile(op, factor, p) == oracle.jordan_profile(op, factor)
+        assert jordan_profile(op, factor) == oracle.jordan_profile(op, factor)
     assert tjurina_number(ma) == oracle.tjurina_number(ma)
     if exponent(p) >= 1:
-        assert theta_polynomial(ma, op, p) == oracle.theta_polynomial(ma, op, p)
+        assert theta_polynomial(ma, op) == oracle.theta_polynomial(ma, op, p)
     return factors
+
+
+def assert_divisor_profiles_match_dense(op, p, m, factors=()):
+    """jordan_profile equals the dense rank sequence at ``factors`` and at
+    every monic divisor of p; returns the dense profiles by factor."""
+    dense = {h: dense_jordan_profile(m, h, p) for h in {*factors, *monic_divisors(p)}}
+    for h, profile in dense.items():
+        assert jordan_profile(op, h) == profile
+    return dense
 
 
 def assert_report_matches(ma, p, profiles):
@@ -73,19 +86,18 @@ def assert_report_matches(ma, p, profiles):
 
 def assert_matches_dense(ma):
     op = multiplication_operator(ma)
+    m = dense_operator(op)
     # the decoded entries are the coordinates of f times each basis monomial
-    columns = [oracle.coordinates(ma, ma.f * Polynomial.term(ma.field.one, m, ma.field))
-               for m in ma.basis]
-    assert op.entries == [[col[r] for col in columns] for r in range(ma.mu)]
+    columns = [oracle.coordinates(ma, ma.f * Polynomial.term(ma.field.one, b, ma.field))
+               for b in ma.basis]
+    assert m.entries == [[col[r] for col in columns] for r in range(ma.mu)]
     p = min_poly(op)
-    assert p == matrix_min_poly(op)
-    dense = {factor: dense_jordan_profile(op, factor, p)
-             for factor in assert_matches_rational(ma, op, p)}
-    for factor, profile in dense.items():
-        assert jordan_profile(op, factor, p) == profile
-    assert ma.mu - tjurina_number(ma) == op.rank()
+    assert p == matrix_min_poly(m)
+    dense = assert_divisor_profiles_match_dense(
+        op, p, m, assert_matches_rational(ma, op, p))
+    assert ma.mu - tjurina_number(ma) == m.rank()
     if exponent(p) >= 1:
-        theta = theta_polynomial(ma, op, p)
+        theta = theta_polynomial(ma, op)
         assert (kernel_condition(ma, op, theta)
                 == dense_kernel_condition(ma, op, theta))
     assert_report_matches(ma, p, dense)
@@ -122,7 +134,7 @@ def test_golden_input_matches_dense(text, weights, minpoly):
         # reference, which runs every rank sequence out, and the dense rank
         op = multiplication_operator(ma)
         p = min_poly(op)
-        assert ma.mu - tjurina_number(ma) == op.rank()
+        assert ma.mu - tjurina_number(ma) == dense_operator(op).rank()
         assert_report_matches(ma, p, {
             cfac.factor: oracle.jordan_profile(op, cfac.factor)
             for cfac in critical_value_factors(p)})
@@ -130,6 +142,21 @@ def test_golden_input_matches_dense(text, weights, minpoly):
 
 GAUSSIAN = field_from_minpoly("z^2+1")
 CUBIC = field_from_minpoly("z^3+1/3*z-2")
+
+# minimal polynomials with a root of multiplicity 2 beside other factors:
+# t^2 (t^3 + c) and t^2 (t - c), over Q and Q(i); A'Campo n = 5 and the
+# deformed quintic meet the same check as a corpus curve and a golden input
+DIVISOR_CURVES = [("x^7+y^7-x^2*y^2", None), ("x^5+z*y^5-x^2*y^2", "z^2+1")]
+
+
+@pytest.mark.parametrize("text,minpoly", DIVISOR_CURVES,
+                         ids=[c[0] for c in DIVISOR_CURVES])
+def test_every_divisor_profile_matches_dense(text, minpoly):
+    field = field_from_minpoly(minpoly) if minpoly else QQ
+    op = multiplication_operator(milnor_algebra(parse_polynomial(text, field)))
+    p = min_poly(op)
+    assert len(monic_divisors(p)) == 5
+    assert_divisor_profiles_match_dense(op, p, dense_operator(op))
 
 
 @settings(max_examples=40, deadline=None)

@@ -68,11 +68,10 @@ def test_syzygy_generators_are_tangent(f):
     assert wedge(df, df).coeff.is_zero()
     ma = milnor_algebra(f)
     op = multiplication_operator(ma)
-    p = min_poly(op)
-    if exponent(p) == 0:
+    if exponent(min_poly(op)) == 0:
         candidate = smooth_generators(f, 0)
     else:
-        candidate = four_generators(f, ma, theta_polynomial(ma, op, p))
+        candidate = four_generators(f, ma, theta_polynomial(ma, op))
     for w in syzygy_generators(f).forms + candidate.forms:
         assert is_tangent(f, w)
 
