@@ -27,7 +27,8 @@ call time, and the first item of its result is empty exactly when the
 remainder is zero, so wrapping it counts reductions and reductions to zero.
 
 Pair pruning uses the Gebauer-Moeller rules.  The coprime-leading-term
-criterion is only valid for ideals, so it is applied solely in rank 1.
+criterion is only valid for ideals, so it is applied solely in rank 1, and
+so is the exit at a first constant remainder, which proves the ideal (1).
 """
 
 from __future__ import annotations
@@ -264,9 +265,15 @@ def _run_buchberger(seeds, order: ModuleOrder, coding):
 
     Returns a list of (vector, leading code), normalized, sorted by leading
     term ascending.  Normal selection strategy; deterministic throughout.
+
+    In rank 1 it returns at the first constant remainder, of a seed or an
+    S-vector: the ideal is then (1), every later S-vector would reduce to
+    zero and minimalization would drop every other element, so the full run
+    returns that row alone.  A unit in one position is not a whole module.
     """
     keyf = order.key
     rank1 = order.rank == 1
+    unit = keyf((0, 0, 0)) if rank1 else None
 
     G, codes, lts = [], [], []
 
@@ -309,18 +316,20 @@ def _run_buchberger(seeds, order: ModuleOrder, coding):
         codes.append(new_code)
         lts.append(new_lt)
 
-    def insert(v):
+    def vectors():
+        yield from sorted(seeds, key=max)
+        while pairs:
+            (i, j) = min(pairs, key=lambda p: (pairs[p][0], p))
+            lcm_code, _ = pairs.pop((i, j))
+            yield _spair_core(G[i], codes[i], G[j], codes[j], lcm_code, coding)
+
+    for v in vectors():
         rem, _ = _normal_form_core(v, G, codes, False, coding)
         if rem:
             t = max(rem)
+            if t == unit:
+                return [(coding.normalized(rem, t), t)]
             update(coding.normalized(rem, t), t)
-
-    for core in sorted(seeds, key=max):
-        insert(core)
-    while pairs:
-        (i, j) = min(pairs, key=lambda p: (pairs[p][0], p))
-        lcm_code, _ = pairs.pop((i, j))
-        insert(_spair_core(G[i], codes[i], G[j], codes[j], lcm_code, coding))
 
     # minimalize: drop elements whose leading term another one divides
     kept = []

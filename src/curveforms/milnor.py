@@ -14,9 +14,10 @@ Multiplication by a class g has the ideal (g) of V as its image, so its rank
 is mu - dim K[x,y]/<f_x, f_y, g>, a count of standard monomials; rank
 sequences and the Tjurina number tau = dim K[x,y]/<f_x, f_y, f> are
 quotient dimensions.  All of it runs in the Groebner engine's integer
-coding of the field: the operator is integer columns over one denominator,
-a class a coded vector with one rational scale, and the engine's reduction
-finds the Krylov dependence.  Field scalars appear only in the results.
+coding of the field: a column of the operator is reduced when a class
+first reads it, a class is a coded vector with one rational scale, and the
+engine's reduction finds the Krylov dependence.  The class of f is reduced
+once per algebra.  Field scalars appear only in the results.
 
 The minimal polynomial p fixes three facts that need no further run: op is
 invertible exactly when t does not divide p, so tau = 0 at exponent 0; p is
@@ -28,6 +29,7 @@ growing, and p(op) = 0 has ranks mu, 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from math import lcm
 from typing import Optional
 
@@ -122,6 +124,11 @@ class MilnorAlgebra:
     def field(self):
         return self.f.field
 
+    # the coded class (vector, scale) of f, reduced once; basis code -> index
+    f_class = cached_property(lambda self: self.gb._reduce(self.f))
+    codes = cached_property(lambda self: {self.gb.order.key((0,) + m): k
+                                          for k, m in enumerate(self.basis)})
+
 
 def milnor_algebra(f: Polynomial, weights: Weights = Weights(1, 1), *,
                    allow_untame: bool = False,
@@ -159,36 +166,35 @@ def milnor_algebra(f: Polynomial, weights: Weights = Weights(1, 1), *,
 
 
 class MultiplicationOperator:
-    """Multiplication by f on V_f, together with the algebra it acts on:
-    ``columns`` maps the packed code of each basis monomial m to the coded
-    coordinates of den * f*m.  ``krylov`` is filled once, by min_poly: the
-    minimal polynomial p and the pairs (w_k, scale_k), [f^k] = scale_k * w_k
-    for k < deg p."""
+    """Multiplication by f on V_f, with the algebra it acts on: ``columns``
+    maps the code of a basis monomial m to (vector, mult), mult * [f*m] =
+    scale * vector for the algebra's f_class (vector, scale), filled by
+    _column when a class first reads it.  ``krylov`` is filled once, by min_poly: the
+    minimal polynomial p and the pairs (w_k, scale_k), [f^k] = scale_k * w_k."""
 
-    __slots__ = ("algebra", "columns", "den", "krylov")
+    __slots__ = ("algebra", "columns", "krylov")
 
-    def __init__(self, algebra: MilnorAlgebra, columns: dict, den: int):
-        self.algebra, self.columns, self.den, self.krylov = algebra, columns, den, None
+    def __init__(self, algebra: MilnorAlgebra):
+        self.algebra, self.columns, self.krylov = algebra, {}, None
 
 
 def multiplication_operator(ma: MilnorAlgebra) -> MultiplicationOperator:
-    """Columns of [P] -> [f*P]: column m is the kernel's remainder of m times
-    the coded class of f, and the columns share one denominator."""
-    gb, key = ma.gb, ma.gb.order.key
-    fvec, scale = gb._reduce(ma.f)
-    basis = [c for c, _ in gb._cores], [t for _, t in gb._cores]
-    rems = {}
-    for m in ma.basis:
-        shift = key((0,) + m) - key((0, 0, 0))
-        rems[key((0,) + m)] = groebner._normal_form_core(
-            {t + shift: c for t, c in fvec.items()}, *basis, True, gb.coding)
-    if any(t not in rems for rem, _ in rems.values() for t in rem):
-        raise InvariantViolation("normal form left the standard-monomial span")
-    common = lcm(*(mult for _, mult in rems.values()))
-    scale /= common
-    columns = {t: gb.coding.scaled(rem, int(scale.numerator) * (common // mult))
-               for t, (rem, mult) in rems.items()}
-    return MultiplicationOperator(ma, columns, int(scale.denominator))
+    """[P] -> [f*P]; nothing, not even f, is reduced until a class reads it."""
+    return MultiplicationOperator(ma)
+
+
+def _column(op: MultiplicationOperator, t: int) -> tuple:
+    """op.columns[t], reduced on first read: the kernel's remainder of m
+    times the coded class of f, m the basis monomial of code t."""
+    if t not in op.columns:
+        gb, fvec = op.algebra.gb, op.algebra.f_class[0]
+        shift = t - gb.order.key((0, 0, 0))
+        col = groebner._normal_form_core({s + shift: c for s, c in fvec.items()},
+                                         *zip(*gb._cores), True, gb.coding)
+        if any(s not in op.algebra.codes for s in col[0]):
+            raise InvariantViolation("normal form left the standard-monomial span")
+        op.columns[t] = col
+    return op.columns[t]
 
 
 def _algebra_of(op) -> MilnorAlgebra:
@@ -197,12 +203,15 @@ def _algebra_of(op) -> MilnorAlgebra:
     return op.algebra
 
 
-def _times(op: MultiplicationOperator, vec) -> dict:
-    """op.den * op applied to the coded vector vec, coded."""
-    coding, out = op.algebra.gb.coding, {}
-    for t, c in vec.items():
-        coding.subtract(out, c, op.columns[t], None, 0)
-    return coding.scaled(out, -1)
+def _times(op: MultiplicationOperator, vec) -> tuple:
+    """op applied to the coded vector vec as (vector, scale): the columns it
+    reads are brought to the lcm of their mults by scaling vec's entries."""
+    cols = [(c, *_column(op, t)) for t, c in vec.items()]
+    coding, common, out = op.algebra.gb.coding, lcm(*(m for _, _, m in cols)), {}
+    for c, col, mult in cols:
+        b = c if mult == common else coding.scaled({0: c}, common // mult)[0]
+        coding.subtract(out, b, col, None, 0)
+    return coding.scaled(out, -1), op.algebra.f_class[1] / common
 
 
 def _class_of(op: MultiplicationOperator, h: UniPoly):
@@ -241,7 +250,7 @@ def unit_ideal(ma: MilnorAlgebra, *polys) -> bool:
     """<f_x, f_y, f, polys> == (1)?  Each p is first reduced modulo tau's
     basis of <f_x, f_y, f>: when nothing is left the ideal is that one, and
     no run is made; else one run seeded with the Jacobian basis decides."""
-    fvec = ma.gb._reduce(ma.f)[0]
+    fvec = ma.f_class[0]
     tau_basis = list(zip(*_quotient_rows(ma, fvec)))
     return _quotient_dimension(ma, fvec, *(groebner._normal_form_core(
         ma.gb._reduce(p)[0], *tau_basis, False, ma.gb.coding)[0] for p in polys)) == 0
@@ -249,14 +258,14 @@ def unit_ideal(ma: MilnorAlgebra, *polys) -> bool:
 
 def tjurina_number(ma: MilnorAlgebra) -> int:
     """tau = dim K[x,y]/<f_x, f_y, f>; multiplication by f has rank mu - tau."""
-    return _quotient_dimension(ma, ma.gb._reduce(ma.f)[0])
+    return _quotient_dimension(ma, ma.f_class[0])
 
 
 def _krylov(op: MultiplicationOperator) -> tuple:
     """op.krylov, filled on first use: the annihilator p of [1] in the
     Krylov sequence [1], [f], [f^2], ..., and the pairs (w_k, scale_k).
 
-    [f^k] = scale_k * w_k, w_{k+1} = op.den * op(w_k) / content.  The kernel
+    [f^k] = scale_k * w_k, w_{k+1} = op(w_k) less its content.  The kernel
     reduces w_k, its coordinates at positions 0 .. mu-1 and a unit tag at
     mu + k, against the earlier ones; the first whose coordinates vanish
     leaves the dependence in its tags."""
@@ -264,7 +273,7 @@ def _krylov(op: MultiplicationOperator) -> tuple:
     if op.krylov is not None:
         return op.krylov
     coding, key = ma.gb.coding, ModuleOrder(TermOrder()).key
-    at = {t: key((k, 0, 0)) for k, t in enumerate(op.columns)}
+    at = {t: key((k, 0, 0)) for t, k in ma.codes.items()}
     one = coding.encode({0: ma.field.one})[0][0]
     w, scale = ma.gb._reduce(Polynomial.constant(1, ma.field))
     basis, lts, krylov = [], [], []
@@ -283,9 +292,9 @@ def _krylov(op: MultiplicationOperator) -> tuple:
         krylov.append((w, scale))
         basis.append(coding.normalized(rem, lt))
         lts.append(lt)
-        w = _times(op, w)
+        w, s = _times(op, w)
         g = coding.content(0, [w]) or 1
-        w, scale = coding.divided(w, g), scale * g / op.den
+        w, scale = coding.divided(w, g), scale * s * g
     raise InvariantViolation("the Krylov vectors admit no linear dependence")
 
 
@@ -388,7 +397,7 @@ def kernel_condition(ma: MilnorAlgebra, op: MultiplicationOperator,
     They span the ideal (theta) of V_f, of dimension mu - dim V_f/(theta),
     inside ker(op), whose dimension is mu - rank(op) = tau."""
     tvec, _ = ma.gb._reduce(theta)
-    if _times(op, tvec):
+    if _times(op, tvec)[0]:
         raise NotInKernel("theta is not annihilated by multiplication by f")
     span_dim = ma.mu - _quotient_dimension(ma, tvec)
     return span_dim == tjurina_number(ma)

@@ -82,7 +82,8 @@ def syzygy_generators(f: Polynomial, order=None, candidate=None,
     Saito's criterion ("Theory of logarithmic differential forms and
     logarithmic vector fields", 1980) I = (1) exactly when the candidate
     generates; only the choice of the fallback relies on that converse.
-    ``unit`` is I = (1) as a caller has proven it; None decides it by a run.
+    ``unit`` is I = (1) as a caller has proven it; None decides it by a run
+    that stops at its first constant.
     Each row is checked on engine vectors: q*f_x - p*f_y + c*f = 0.  The set
     carries their projection to (p, q) as its basis and its forms."""
     if f.is_constant():

@@ -13,7 +13,7 @@ runs.  The library runs the same algorithms on the engine's integer coding;
 the tests compare them.
 """
 
-from curveforms import Polynomial, Rational, UniPoly, buchberger
+from curveforms import Polynomial, UniPoly, buchberger, milnor
 from curveforms.errors import (FactorNotDividing, InvariantViolation,
                                NotInKernel, SmoothCurve)
 from curveforms.linalg import Matrix, matrix_min_poly, sequence_annihilator
@@ -23,11 +23,13 @@ from curveforms.milnor import (CriticalFactor, JordanProfile,
 
 def dense_operator(op):
     """The matrix of a MultiplicationOperator: column m holds the decoded
-    coordinates of f*m, op.columns / op.den."""
+    coordinates of f*m, every column forced through the operator's one
+    accessor milnor._column, mult * [f*m] = scale * vector."""
     ma = op.algebra
-    decode, zero = ma.gb.coding.decode, ma.field.zero
-    cols = [decode(c, Rational(1, op.den)) for c in op.columns.values()]
-    return Matrix(ma.field, [[c.get(t, zero) for c in cols] for t in op.columns])
+    decode, zero, scale = ma.gb.coding.decode, ma.field.zero, ma.f_class[1]
+    cols = [decode(vec, scale / mult)
+            for vec, mult in (milnor._column(op, t) for t in ma.codes)]
+    return Matrix(ma.field, [[c.get(t, zero) for c in cols] for t in ma.codes])
 
 
 def rref(m):

@@ -8,10 +8,12 @@ from curveforms import (FieldMismatch, InvalidInput, InvariantViolation,
                         ModuleOrder, ModuleVector, NumberField, Polynomial, QQ,
                         RankMismatch, TermOrder, buchberger, membership,
                         parse_polynomial, recombine, syzygies)
+from curveforms import groebner
 from curveforms.groebner import _unpack
 from curveforms.linalg import Matrix
 from curveforms.milnor import standard_monomials
 import rational_oracle as oracle
+from conftest import recording_calls
 from dense_oracle import kernel_basis
 
 
@@ -48,6 +50,18 @@ def test_determinism():
     first = _gb_polys(buchberger(gens))
     second = _gb_polys(buchberger(list(reversed(gens))))
     assert first == second
+
+
+@pytest.mark.parametrize("n, reductions", [(5, 15), (7, 24), (8, 15)])
+def test_unit_ideal_run_stops_at_its_first_constant(monkeypatch, n, reductions):
+    # a constant remainder proves <f, f_x, f_y> = (1): every later S-vector
+    # would reduce to zero, so the run returns [1] there (24, 40 and 25
+    # reductions when it ran to the end)
+    f = _p(f"x^{n}+y^{n}-x^2*y^2+3*x^3*y-1")
+    calls = recording_calls(monkeypatch, groebner, "_normal_form_core")
+    gb = buchberger([f, f.diff("x"), f.diff("y")])
+    assert calls["_normal_form_core"] == reductions
+    assert _gb_polys(gb) == ["1"]
 
 
 # -- normal forms ----------------------------------------------------------------

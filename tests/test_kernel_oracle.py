@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import rational_oracle as oracle
 from curveforms import (QQ, ModuleVector, OneForm, Polynomial, TermOrder,
@@ -173,8 +173,30 @@ def inputs(draw):
     return gens, TermOrder(draw(st.sampled_from(WEIGHTS))), probe
 
 
-@settings(max_examples=120, deadline=None)
-@given(inputs())
+@st.composite
+def unit_inputs(draw):
+    """Rank-1 seeds of the unit ideal, where a run stops at its first
+    constant: drawn polynomials with a nonzero constant first, in the middle
+    or last, or (f, f_x, f_y) of a drawn smooth curve over Q or Q(i)."""
+    field = draw(st.sampled_from(FIELDS))
+    unit = draw(scalars(field).filter(bool))
+    if draw(st.booleans()):
+        gens = [draw(polys(field).filter(lambda p: not p.is_zero()))
+                for _ in range(draw(st.integers(0, 3)))]
+        gens.insert(draw(st.sampled_from([0, len(gens) // 2, len(gens)])),
+                    Polynomial.constant(unit, field))
+    else:
+        field = field if field.degree < 3 else GAUSS
+        f = draw(polys(field)) + Polynomial.constant(field.one, field)
+        gens = [g for g in (f, f.diff("x"), f.diff("y")) if not g.is_zero()]
+        assume(not f.is_constant() and generates_one(gens))
+    probe = ModuleVector((draw(polys(field)),))
+    return ([ModuleVector((g,)) for g in gens],
+            TermOrder(draw(st.sampled_from(WEIGHTS))), probe)
+
+
+@settings(max_examples=240, deadline=None)
+@given(st.one_of(inputs(), unit_inputs()))
 def test_drawn_inputs_match_oracle(case):
     gens, order, probe = case
     gb, ref = assert_same_basis(gens, order)

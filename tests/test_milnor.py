@@ -2,16 +2,16 @@
 
 import pytest
 
-from curveforms import (FactorNotDividing, NotInKernel, NotTame,
-                        QQ, SmoothCurve, TermOrder, UniPoly, Weights,
+from curveforms import (FactorNotDividing, InvariantViolation, NotInKernel,
+                        NotTame, QQ, SmoothCurve, TermOrder, UniPoly, Weights,
                         ZeroInput, critical_value_factors, check_tame,
                         exponent, jordan_profile, kernel_condition,
                         milnor_algebra, min_poly, multiplication_operator,
                         parse_polynomial, rational, theta_polynomial,
                         tjurina_number)
-from curveforms import milnor
+from curveforms import analyze, groebner, milnor
 from curveforms.milnor import standard_monomials
-from curveforms.groebner import buchberger
+from curveforms.groebner import GroebnerBasis, buchberger
 from curveforms.linalg import Matrix
 from conftest import recording_calls
 from dense_oracle import (dense_jordan_profile, dense_operator, is_zero,
@@ -103,8 +103,57 @@ def test_operator_on_hyperbola():
 def test_operator_vanishes_for_weighted_homogeneous():
     ma = milnor_algebra(_p("x^3+y^3"))
     op = multiplication_operator(ma)
-    assert not any(op.columns.values())
     assert is_zero(dense_operator(op))
+    # the dense matrix forces every column, and each is a zero remainder
+    assert len(op.columns) == ma.mu
+    assert not any(vec for vec, _ in op.columns.values())
+
+
+@pytest.mark.parametrize("text, mu, read", [
+    ("(x^3-1)*(y^3-1)*(x^3-y^3)", 52, 7), (ACAMPO, 16, 3)])
+def test_analyze_reduces_only_the_columns_a_class_reads(monkeypatch, text, mu, read):
+    # the Krylov sequence, theta and the kernel check read the columns in
+    # the support of their classes; the rest of the mu are never reduced
+    ops, original = [], milnor.multiplication_operator
+
+    def recording(ma):
+        ops.append(original(ma))
+        return ops[-1]
+    monkeypatch.setattr(milnor, "multiplication_operator", recording)
+    rep = analyze(_p(text), allow_untame=True)
+    assert rep.mu == mu and len(ops) == 1
+    assert len(ops[0].columns) == read
+
+
+def test_column_outside_the_standard_span_is_an_invariant_violation(monkeypatch):
+    ma = milnor_algebra(_p(ACAMPO))
+    op = multiplication_operator(ma)
+    outside, original = ma.gb._cores[0][1], groebner._normal_form_core
+
+    def leaking(*args):
+        # a leading term of the Jacobian basis is never a standard monomial
+        rem, mult = original(*args)
+        return {**rem, outside: 1}, mult
+    monkeypatch.setattr(groebner, "_normal_form_core", leaking)
+    with pytest.raises(InvariantViolation):
+        milnor._column(op, next(iter(ma.codes)))
+    assert not op.columns
+
+
+def test_analyze_reduces_f_once(monkeypatch):
+    # the operator, both Tjurina numbers and unit_ideal read the class of f
+    # that the algebra reduces once
+    f, seen = _p(ACAMPO), []
+    original = GroebnerBasis._reduce
+
+    def recording(gb, v):
+        seen.append(v)
+        return original(gb, v)
+    monkeypatch.setattr(GroebnerBasis, "_reduce", recording)
+    rep = analyze(f)
+    assert rep.tau == 10 and rep.kernel_condition is not None
+    assert rep.generation["generates"] is False
+    assert sum(v == f for v in seen) == 1
 
 
 # -- minimal polynomial -------------------------------------------------------------

@@ -81,6 +81,16 @@ def _corrupt_first_row(rows):
     return [ModuleVector((p + Polynomial.constant(1, p.field), q, c))] + rows[1:]
 
 
+@pytest.mark.parametrize("n", [5, 7, 8])
+def test_decision_run_takes_the_route_of_a_proven_unit_ideal(n):
+    # the run that decides <f, f_x, f_y> = (1) stops at its first constant
+    # and still chooses the relations from the lifts of the trivial forms
+    f = _p(f"x^{n}+y^{n}-x^2*y^2+3*x^3*y-1")
+    decided, given = syzygy_generators(f), syzygy_generators(f, unit=True)
+    assert decided.forms == given.forms
+    assert decided.basis._cores == given.basis._cores
+
+
 def test_corrupted_relation_is_an_invariant_violation(monkeypatch, capsys):
     original = tangent.syzygies
     monkeypatch.setattr(tangent, "syzygies",
