@@ -194,7 +194,7 @@ def analyze(f: Polynomial, weights: Weights = Weights(1, 1), *,
     report.min_poly = p
     report.exponent = milnor.exponent(p)
     # tau = mu - rank(op) is 0 when t does not divide p (op is invertible);
-    # else the Tjurina run's rows also serve unit_ideal and kernel_condition
+    # else the Tjurina run's rows also serve kernel_condition
     report.tau = milnor.tjurina_number(ma) if report.exponent else 0
     report.critical_factors = milnor.critical_value_factors(p)
     report.jordan = [milnor.jordan_profile(op, cfac.factor)

@@ -185,12 +185,14 @@ class ExtElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.field.inv(self) ** (-n)
-        result, base = self.field.one, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if n == 0:
+            return self.field.one
+        # left to right from the first set bit: one squaring per later bit
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other):

@@ -1,8 +1,8 @@
 """Jacobian quotient of a curve polynomial and multiplication by f.
 
 V = K[x,y]/<f_x, f_y> with a standard-monomial basis, the multiplication-by-f
-operator as coded columns, its minimal polynomial, the multiplicity of the
-root 0, and Jordan block sizes recovered from rank sequences.
+operator, its minimal polynomial, the multiplicity of the root 0, and
+Jordan block sizes recovered from rank sequences.
 
 V is a unital commutative algebra, so nothing here needs the mu x mu matrix
 or its powers.  The minimal polynomial p of multiplication by f is the
@@ -14,10 +14,11 @@ Multiplication by a class g has the ideal (g) of V as its image, so its rank
 is mu - dim K[x,y]/<f_x, f_y, g>, a count of standard monomials; rank
 sequences and the Tjurina number tau = dim K[x,y]/<f_x, f_y, f> are
 quotient dimensions.  All of it runs in the Groebner engine's integer
-coding of the field: a column of the operator is reduced when a class
-first reads it, a class is a coded vector with one rational scale, and the
-engine's reduction finds the Krylov dependence.  The class of f is reduced
-once per algebra.  Field scalars appear only in the results.
+coding of the field: a class is a coded vector with one rational scale, f
+times a class is one product with the coded class of f and one reduction
+by the Jacobian basis, and the engine's reduction finds the Krylov
+dependence.  The class of f is reduced once per algebra.  Field scalars
+appear only in the results.
 
 The minimal polynomial p fixes three facts that need no further run: op is
 invertible exactly when t does not divide p, so tau = 0 at exponent 0; p is
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from math import lcm
 from typing import Optional
 
 from .errors import (FactorNotDividing, InvariantViolation, NotFiniteDimensional,
@@ -166,35 +166,19 @@ def milnor_algebra(f: Polynomial, weights: Weights = Weights(1, 1), *,
 
 
 class MultiplicationOperator:
-    """Multiplication by f on V_f, with the algebra it acts on: ``columns``
-    maps the code of a basis monomial m to (vector, mult), mult * [f*m] =
-    scale * vector for the algebra's f_class (vector, scale), filled by
-    _column when a class first reads it.  ``krylov`` is filled once, by min_poly: the
-    minimal polynomial p and the pairs (w_k, scale_k), [f^k] = scale_k * w_k."""
+    """Multiplication by f on V_f, with the algebra it acts on.  ``krylov``
+    is filled once, by min_poly: the minimal polynomial p and the pairs
+    (w_k, scale_k), [f^k] = scale_k * w_k."""
 
-    __slots__ = ("algebra", "columns", "krylov")
+    __slots__ = ("algebra", "krylov")
 
     def __init__(self, algebra: MilnorAlgebra):
-        self.algebra, self.columns, self.krylov = algebra, {}, None
+        self.algebra, self.krylov = algebra, None
 
 
 def multiplication_operator(ma: MilnorAlgebra) -> MultiplicationOperator:
-    """[P] -> [f*P]; nothing, not even f, is reduced until a class reads it."""
+    """[P] -> [f*P]; nothing, not even f, is reduced before a product."""
     return MultiplicationOperator(ma)
-
-
-def _column(op: MultiplicationOperator, t: int) -> tuple:
-    """op.columns[t], reduced on first read: the kernel's remainder of m
-    times the coded class of f, m the basis monomial of code t."""
-    if t not in op.columns:
-        gb, fvec = op.algebra.gb, op.algebra.f_class[0]
-        shift = t - gb.order.key((0, 0, 0))
-        col = groebner._normal_form_core({s + shift: c for s, c in fvec.items()},
-                                         *zip(*gb._cores), True, gb.coding)
-        if any(s not in op.algebra.codes for s in col[0]):
-            raise InvariantViolation("normal form left the standard-monomial span")
-        op.columns[t] = col
-    return op.columns[t]
 
 
 def _algebra_of(op) -> MilnorAlgebra:
@@ -203,15 +187,17 @@ def _algebra_of(op) -> MilnorAlgebra:
     return op.algebra
 
 
-def _times(op: MultiplicationOperator, vec) -> tuple:
-    """op applied to the coded vector vec as (vector, scale): the columns it
-    reads are brought to the lcm of their mults by scaling vec's entries."""
-    cols = [(c, *_column(op, t)) for t, c in vec.items()]
-    coding, common, out = op.algebra.gb.coding, lcm(*(m for _, _, m in cols)), {}
-    for c, col, mult in cols:
-        b = c if mult == common else coding.scaled({0: c}, common // mult)[0]
-        coding.subtract(out, b, col, None, 0)
-    return coding.scaled(out, -1), op.algebra.f_class[1] / common
+def _times(ma: MilnorAlgebra, vec) -> tuple:
+    """[f] times the coded class vec as (vector, scale): the product of vec
+    with the coded class of f, reduced once by the Jacobian basis."""
+    coding, (fvec, fscale) = ma.gb.coding, ma.f_class
+    one, prod = ma.gb.order.key((0, 0, 0)), {}
+    for t, c in vec.items():
+        coding.subtract(prod, c, fvec, None, t - one)
+    rem, mult = groebner._normal_form_core(prod, *zip(*ma.gb._cores), True, coding)
+    if any(s not in ma.codes for s in rem):
+        raise InvariantViolation("normal form left the standard-monomial span")
+    return coding.scaled(rem, -1), fscale / mult
 
 
 def _class_of(op: MultiplicationOperator, h: UniPoly):
@@ -247,13 +233,10 @@ def _quotient_dimension(ma: MilnorAlgebra, *gs) -> int:
 
 
 def unit_ideal(ma: MilnorAlgebra, *polys) -> bool:
-    """<f_x, f_y, f, polys> == (1)?  Each p is first reduced modulo tau's
-    basis of <f_x, f_y, f>: when nothing is left the ideal is that one, and
-    no run is made; else one run seeded with the Jacobian basis decides."""
-    fvec = ma.f_class[0]
-    tau_basis = list(zip(*_quotient_rows(ma, fvec)))
-    return _quotient_dimension(ma, fvec, *(groebner._normal_form_core(
-        ma.gb._reduce(p)[0], *tau_basis, False, ma.gb.coding)[0] for p in polys)) == 0
+    """<f_x, f_y, f, polys> == (1)?  One run seeded with the Jacobian basis,
+    [f] and the classes of polys decides."""
+    return _quotient_dimension(ma, ma.f_class[0],
+                               *(ma.gb._reduce(p)[0] for p in polys)) == 0
 
 
 def tjurina_number(ma: MilnorAlgebra) -> int:
@@ -292,7 +275,7 @@ def _krylov(op: MultiplicationOperator) -> tuple:
         krylov.append((w, scale))
         basis.append(coding.normalized(rem, lt))
         lts.append(lt)
-        w, s = _times(op, w)
+        w, s = _times(ma, w)
         g = coding.content(0, [w]) or 1
         w, scale = coding.divided(w, g), scale * s * g
     raise InvariantViolation("the Krylov vectors admit no linear dependence")
@@ -385,7 +368,7 @@ def theta_polynomial(ma: MilnorAlgebra, op: MultiplicationOperator) -> Polynomia
     theta = _core_vec(ma.gb.coding.decode(vec, scale), 1, ma.field).components[0]
     if theta.is_zero():
         raise InvariantViolation("q(f) vanished in V_f; minimal polynomial wrong")
-    if not ma.gb.reduces_to_zero(ma.f * theta):
+    if _times(ma, vec)[0]:
         raise InvariantViolation("f*theta is not in the Jacobian ideal")
     return theta
 
@@ -397,7 +380,7 @@ def kernel_condition(ma: MilnorAlgebra, op: MultiplicationOperator,
     They span the ideal (theta) of V_f, of dimension mu - dim V_f/(theta),
     inside ker(op), whose dimension is mu - rank(op) = tau."""
     tvec, _ = ma.gb._reduce(theta)
-    if _times(op, tvec)[0]:
+    if _times(ma, tvec)[0]:
         raise NotInKernel("theta is not annihilated by multiplication by f")
     span_dim = ma.mu - _quotient_dimension(ma, tvec)
     return span_dim == tjurina_number(ma)

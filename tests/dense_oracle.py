@@ -1,7 +1,7 @@
 """Dense and rational references for the Milnor layer.
 
 The first bodies are the dense toolkit that the library no longer carries:
-the matrix of the multiplication operator decoded from its coded columns,
+the matrix of the multiplication operator from public normal forms,
 reduced row echelon form, kernels, matrix-vector products, Jordan data from
 ranks of explicit matrix powers (Horner evaluation in matrix products,
 Bareiss rank) and the kernel condition from the rank of the spanning
@@ -13,7 +13,7 @@ runs.  The library runs the same algorithms on the engine's integer coding;
 the tests compare them.
 """
 
-from curveforms import Polynomial, UniPoly, buchberger, milnor
+from curveforms import Polynomial, UniPoly, buchberger
 from curveforms.errors import (FactorNotDividing, InvariantViolation,
                                NotInKernel, SmoothCurve)
 from curveforms.linalg import Matrix, matrix_min_poly, sequence_annihilator
@@ -22,14 +22,13 @@ from curveforms.milnor import (CriticalFactor, JordanProfile,
 
 
 def dense_operator(op):
-    """The matrix of a MultiplicationOperator: column m holds the decoded
-    coordinates of f*m, every column forced through the operator's one
-    accessor milnor._column, mult * [f*m] = scale * vector."""
+    """The matrix of a MultiplicationOperator: column m holds the
+    coordinates of f*m in the public normal form, never the operator's own
+    product."""
     ma = op.algebra
-    decode, zero, scale = ma.gb.coding.decode, ma.field.zero, ma.f_class[1]
-    cols = [decode(vec, scale / mult)
-            for vec, mult in (milnor._column(op, t) for t in ma.codes)]
-    return Matrix(ma.field, [[c.get(t, zero) for c in cols] for t in ma.codes])
+    cols = [coordinates(ma, ma.f * Polynomial.term(ma.field.one, m, ma.field))
+            for m in ma.basis]
+    return Matrix(ma.field, [list(row) for row in zip(*cols)])
 
 
 def rref(m):

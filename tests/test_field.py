@@ -9,6 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import curveforms
+from conftest import recording_calls
 from curveforms import (DivisionByZero, FieldMismatch, NumberField, QQ,
                         parse_scalar, rational)
 
@@ -45,6 +46,15 @@ def test_gauss_inverse_of_generator():
     inv = GAUSS.inv(z)
     assert z * inv == GAUSS.one
     assert inv == -z  # z^2 = -1 forces 1/z = -z
+
+
+def test_power_squares_once_per_bit_after_the_first(monkeypatch):
+    z = GAUSS.generator
+    products = recording_calls(monkeypatch, NumberField, "_mul")
+    assert z ** 8 == GAUSS.one  # (z^2)^4 = (-1)^4
+    assert products["_mul"] == 3
+    assert z ** 0 == GAUSS.one
+    assert z ** -3 == z and z ** 3 * z ** -3 == GAUSS.one  # 1/z = -z
 
 
 def test_golden_inverse_of_generator():

@@ -2,8 +2,9 @@
 
 import pytest
 
-from curveforms import (FactorNotDividing, InvariantViolation, NotInKernel,
-                        NotTame, QQ, SmoothCurve, TermOrder, UniPoly, Weights,
+from curveforms import (CurveFormsError, FactorNotDividing, InvariantViolation,
+                        NotFiniteDimensional, NotInKernel, NotTame, QQ,
+                        SmoothCurve, TermOrder, UniPoly, Weights,
                         ZeroInput, critical_value_factors, check_tame,
                         exponent, jordan_profile, kernel_condition,
                         milnor_algebra, min_poly, multiplication_operator,
@@ -23,6 +24,7 @@ def _p(text):
 
 
 ACAMPO = "x^5+y^5-x^2*y^2"
+QUARTIC9 = "x^4+3*y^4+x^2*y+2*x+2*y^3+3*y"
 
 
 # -- tameness -------------------------------------------------------------------
@@ -51,6 +53,18 @@ def test_tame_rejects_constant():
 def test_milnor_algebra_requires_tame_by_default():
     with pytest.raises(NotTame):
         milnor_algebra(_p("x^2*y"))
+
+
+def test_infinite_jacobian_quotient_is_not_finite_dimensional():
+    # an untame input passes the tameness gate but its quotient is infinite:
+    # an input error, not a broken invariant
+    with pytest.raises(NotFiniteDimensional) as algebra:
+        milnor_algebra(_p("x^2*y"), allow_untame=True)
+    with pytest.raises(NotFiniteDimensional) as report:
+        analyze(_p("x^3*y^2"), allow_untame=True)
+    for exc in (algebra.value, report.value):
+        assert isinstance(exc, CurveFormsError)
+        assert not isinstance(exc, InvariantViolation)
 
 
 # -- basis ----------------------------------------------------------------------
@@ -104,30 +118,32 @@ def test_operator_vanishes_for_weighted_homogeneous():
     ma = milnor_algebra(_p("x^3+y^3"))
     op = multiplication_operator(ma)
     assert is_zero(dense_operator(op))
-    # the dense matrix forces every column, and each is a zero remainder
-    assert len(op.columns) == ma.mu
-    assert not any(vec for vec, _ in op.columns.values())
+    # the operator's own product of f with every basis monomial is zero
+    assert not any(milnor._times(ma, {t: 1})[0] for t in ma.codes)
 
 
-@pytest.mark.parametrize("text, mu, read", [
-    ("(x^3-1)*(y^3-1)*(x^3-y^3)", 52, 7), (ACAMPO, 16, 3)])
-def test_analyze_reduces_only_the_columns_a_class_reads(monkeypatch, text, mu, read):
-    # the Krylov sequence, theta and the kernel check read the columns in
-    # the support of their classes; the rest of the mu are never reduced
-    ops, original = [], milnor.multiplication_operator
+@pytest.mark.parametrize("text, products", [
+    ("(x^3-1)*(y^3-1)*(x^3-y^3)", 5), (ACAMPO, 5), (QUARTIC9, 9)])
+def test_analyze_multiplies_by_f_once_per_product(monkeypatch, text, products):
+    # deg p Krylov steps, then theta's certificate and the kernel check when
+    # tau > 0; each product is one reduction by the Jacobian basis
+    reductions = recording_calls(monkeypatch, groebner, "_normal_form_core")
+    per_call, original = [], milnor._times
 
-    def recording(ma):
-        ops.append(original(ma))
-        return ops[-1]
-    monkeypatch.setattr(milnor, "multiplication_operator", recording)
+    def counting(ma, vec):
+        ma.f_class  # the one reduction of f, which the first product triggers
+        before = reductions["_normal_form_core"]
+        out = original(ma, vec)
+        per_call.append(reductions["_normal_form_core"] - before)
+        return out
+    monkeypatch.setattr(milnor, "_times", counting)
     rep = analyze(_p(text), allow_untame=True)
-    assert rep.mu == mu and len(ops) == 1
-    assert len(ops[0].columns) == read
+    assert rep.min_poly.degree() + (2 if rep.tau else 0) == products
+    assert per_call == [1] * products
 
 
-def test_column_outside_the_standard_span_is_an_invariant_violation(monkeypatch):
+def test_product_outside_the_standard_span_is_an_invariant_violation(monkeypatch):
     ma = milnor_algebra(_p(ACAMPO))
-    op = multiplication_operator(ma)
     outside, original = ma.gb._cores[0][1], groebner._normal_form_core
 
     def leaking(*args):
@@ -136,8 +152,7 @@ def test_column_outside_the_standard_span_is_an_invariant_violation(monkeypatch)
         return {**rem, outside: 1}, mult
     monkeypatch.setattr(groebner, "_normal_form_core", leaking)
     with pytest.raises(InvariantViolation):
-        milnor._column(op, next(iter(ma.codes)))
-    assert not op.columns
+        milnor._times(ma, {next(iter(ma.codes)): 1})
 
 
 def test_analyze_reduces_f_once(monkeypatch):

@@ -17,9 +17,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from curveforms import (QQ, Polynomial, UniPoly, Weights, analyze,
+from curveforms import (QQ, UniPoly, Weights, analyze,
                         critical_value_factors, exponent, jordan_profile,
-                        kernel_condition, milnor_algebra, min_poly,
+                        kernel_condition, milnor, milnor_algebra, min_poly,
                         multiplication_operator, parse_polynomial,
                         theta_polynomial, tjurina_number)
 from curveforms.linalg import matrix_min_poly
@@ -87,10 +87,13 @@ def assert_report_matches(ma, p, profiles):
 def assert_matches_dense(ma):
     op = multiplication_operator(ma)
     m = dense_operator(op)
-    # the decoded entries are the coordinates of f times each basis monomial
-    columns = [oracle.coordinates(ma, ma.f * Polynomial.term(ma.field.one, b, ma.field))
-               for b in ma.basis]
-    assert m.entries == [[col[r] for col in columns] for r in range(ma.mu)]
+    # the operator's product of f with each basis monomial decodes to the
+    # column of the normal-form matrix
+    coding, zero = ma.gb.coding, ma.field.zero
+    for k, t in enumerate(ma.codes):
+        vec, scale = milnor._times(ma, coding.encode({t: ma.field.one})[0])
+        col = coding.decode(vec, scale)
+        assert [col.get(s, zero) for s in ma.codes] == [row[k] for row in m.entries]
     p = min_poly(op)
     assert p == matrix_min_poly(m)
     dense = assert_divisor_profiles_match_dense(

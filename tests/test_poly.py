@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import as_poly, ndiff, nmul, poly_dict, polynomials
+from conftest import as_poly, ndiff, nmul, poly_dict, polynomials, recording_calls
 from curveforms import (NEG_INFINITY, InvalidInput, ModuleVector, NumberField,
                         OneForm, PolySyntaxError, Polynomial, QQ, RankMismatch,
                         Rational, TermOrder, TwoForm, UnknownSymbol, Weights,
@@ -98,6 +98,17 @@ def test_parse_rejects_power_that_expands_too_far():
     assert len(parse_polynomial("(x+y+1)^21").terms) == 253
     assert parse_polynomial("x^1000000") == Polynomial.term(QQ.one, (10**6, 0))
     assert parse_polynomial("(2*y)^3") == parse_polynomial("8*y^3")
+
+
+def test_power_squares_once_per_bit_after_the_first(monkeypatch):
+    base = parse_polynomial("x^2+y^2+1")
+    square = parse_polynomial("x^4+2*x^2*y^2+y^4+2*x^2+2*y^2+1")
+    products = recording_calls(monkeypatch, Polynomial, "__mul__")
+    assert X ** 8 == Polynomial.term(QQ.one, (8, 0))
+    assert products["__mul__"] == 3
+    assert base ** 2 == square
+    assert products["__mul__"] == 4
+    assert base ** 0 == Polynomial.constant(1)
 
 
 @pytest.mark.parametrize("text", [
