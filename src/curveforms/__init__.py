@@ -4,9 +4,9 @@ from .errors import (CurveFormsError, DegenerateWindow, DivisionByZero,
                      FactorNotDividing, FieldMismatch, InvalidInput,
                      InvariantViolation, MissingEmbedding,
                      NotFiniteDimensional, NotHomogeneous, NotInJacobian,
-                     NotInKernel, NotSmooth, NotSquare, NotTame, NotTangent,
-                     PolySyntaxError, RankMismatch, SmoothCurve, UnknownFixture,
-                     UnknownSymbol, ZeroInput)
+                     NotSmooth, NotSquare, NotTame, NotTangent, PolySyntaxError,
+                     RankMismatch, SmoothCurve, UnknownFixture, UnknownSymbol,
+                     ZeroInput)
 from .field import QQ, NumberField, Rational, rational
 from .groebner import (GroebnerBasis, Membership, ModuleOrder, ModuleVector,
                        buchberger, membership, recombine, syzygies)

@@ -158,13 +158,14 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
-def appendix_block_warning(profile) -> Optional[str]:
+def appendix_block_warning(exponent: int, kernel_condition: bool) -> Optional[str]:
     """Blocks at eigenvalue 0 must have size 1 or 2 and not be all of size 2;
-    a violation indicates an engine bug."""
-    if profile.max_size() > 2:
+    a violation indicates an engine bug.  The largest has size e = exponent,
+    and all have size e exactly when the kernel condition holds."""
+    if exponent > 2:
         return ("Jordan blocks of size >= 3 at eigenvalue 0; "
                 "this should be impossible for plane curves")
-    if profile.blocks and set(profile.blocks) == {2}:
+    if exponent == 2 and kernel_condition:
         return ("all Jordan blocks at eigenvalue 0 have size 2; "
                 "this should be impossible for plane curves")
     return None
@@ -199,11 +200,9 @@ def analyze(f: Polynomial, weights: Weights = Weights(1, 1), *,
     report.critical_factors = milnor.critical_value_factors(p)
     report.jordan = [milnor.jordan_profile(op, cfac.factor)
                      for cfac in report.critical_factors]
-    # at e = 1 every block at 0 has size 1, and no warning can fire
-    if report.exponent >= 2:
-        t = UniPoly.t(f.field)
-        zero = next((jp for jp in report.jordan if jp.factor == t), None)
-        warning = appendix_block_warning(zero or milnor.jordan_profile(op, t))
+    if report.exponent:
+        report.kernel_condition = milnor.kernel_condition(op)
+        warning = appendix_block_warning(report.exponent, report.kernel_condition)
         if warning:
             report.warnings.append(warning)
     timings["milnor"] = time.perf_counter() - t0
@@ -222,16 +221,14 @@ def analyze(f: Polynomial, weights: Weights = Weights(1, 1), *,
         }
 
     t0 = time.perf_counter()
-    report.trivial = tangent.trivial_forms(f)
     if report.exponent == 0:
         candidate = tangent.smooth_generators(f, report.exponent)
     else:
-        theta = milnor.theta_polynomial(ma, op)
-        report.theta = theta
-        report.kernel_condition = milnor.kernel_condition(ma, op, theta)
-        candidate = tangent.four_generators(f, ma, theta)
+        report.theta = milnor.theta_polynomial(op)
+        candidate = tangent.four_generators(f, ma, report.theta)
         report.four = candidate.forms
         report.omega = candidate.forms[-1]
+    report.trivial = candidate.forms[:3]
     timings["forms"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -145,9 +145,8 @@ def run_quasihomog(rec):
         profile = milnor.jordan_profile(op, UniPoly.t())
         rec.check(f"{tag}_blocks_size_one", set(profile.blocks) == {1},
                   profile.blocks)
-        theta = milnor.theta_polynomial(ma, op)
-        rec.check(f"{tag}_kernel_condition",
-                  milnor.kernel_condition(ma, op, theta))
+        theta = milnor.theta_polynomial(op)
+        rec.check(f"{tag}_kernel_condition", milnor.kernel_condition(op))
         four = tangent.four_generators(g, ma, theta)
         rec.check(f"{tag}_four_generates",
                   tangent.verify_generation(four, raw).generates)

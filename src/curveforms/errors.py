@@ -61,10 +61,6 @@ class NotSmooth(CurveFormsError):
     """The shortcut applies to smooth curves only."""
 
 
-class NotInKernel(CurveFormsError):
-    """The given class is not annihilated by the multiplication operator."""
-
-
 class NotInJacobian(CurveFormsError):
     """A polynomial expected to lie in the Jacobian ideal does not."""
 

@@ -20,11 +20,12 @@ by the Jacobian basis, and the engine's reduction finds the Krylov
 dependence.  The class of f is reduced once per algebra.  Field scalars
 appear only in the results.
 
-The minimal polynomial p fixes three facts that need no further run: op is
+The minimal polynomial p fixes four facts that need no further run: op is
 invertible exactly when t does not divide p, so tau = 0 at exponent 0; p is
-squarefree when gcd(p, p') = 1; and h(op)^k has the rank of
-gcd(p, h^k)(op), so the ranks at h stop falling once gcd(p, h^k) stops
-growing, and p(op) = 0 has ranks mu, 0.
+squarefree when gcd(p, p') = 1; h(op)^k has the rank of gcd(p, h^k)(op),
+so the ranks at h stop falling once gcd(p, h^k) stops growing, and
+p(op) = 0 has ranks mu, 0; and (theta) = ker(op) exactly when
+dim ker(op^e) = e*tau at p = t^e * r, r(0) != 0, always so at e = 1.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import (FactorNotDividing, InvariantViolation, NotFiniteDimensional,
-                     NotInKernel, NotTame, SmoothCurve, ZeroInput)
+                     NotTame, SmoothCurve, ZeroInput)
 from . import groebner
 from .groebner import (GroebnerBasis, ModuleOrder, _core_vec, _run_buchberger,
                        _unpack, buchberger)
@@ -289,8 +290,6 @@ def min_poly(op: MultiplicationOperator) -> UniPoly:
 
 def exponent(p: UniPoly) -> int:
     """Multiplicity of the root 0; 0 means the curve is smooth."""
-    if p.is_zero():
-        raise ZeroInput("zero polynomial")
     return p.root_multiplicity_at_zero()
 
 
@@ -338,8 +337,7 @@ def jordan_profile(op: MultiplicationOperator, factor: UniPoly) -> JordanProfile
     d_{k-1} * gcd(p/d_{k-1}, h): mu - dim K[x,y]/<f_x, f_y, d_k(f)>, or 0
     once d_k = p.  The ranks fall strictly exactly while d_k grows, so the
     sequence stops when gcd(p/d_k, h) = 1."""
-    ma = _algebra_of(op)
-    p = _krylov(op)[0]
+    ma, p = _algebra_of(op), _krylov(op)[0]
     if factor == p:
         return JordanProfile(factor, blocks_from_ranks([ma.mu, 0]))
     if not (p % factor).is_zero():
@@ -357,11 +355,12 @@ def jordan_profile(op: MultiplicationOperator, factor: UniPoly) -> JordanProfile
     return JordanProfile(factor, blocks_from_ranks(ranks))
 
 
-def theta_polynomial(ma: MilnorAlgebra, op: MultiplicationOperator) -> Polynomial:
+def theta_polynomial(op: MultiplicationOperator) -> Polynomial:
     """Degree-bounded representative of q(f) in V_f, where p(t) = t*q(t).
 
-    The Krylov combination of q, never an expansion of q(f)."""
-    p = _krylov(op)[0]
+    The Krylov combination of q, never an expansion of q(f); one product
+    with f certifies f*theta in the Jacobian ideal."""
+    ma, p = _algebra_of(op), _krylov(op)[0]
     if exponent(p) < 1:
         raise SmoothCurve("0 is not a critical value; no kernel witness exists")
     vec, scale = _class_of(op, p.shift_down(1))
@@ -373,14 +372,22 @@ def theta_polynomial(ma: MilnorAlgebra, op: MultiplicationOperator) -> Polynomia
     return theta
 
 
-def kernel_condition(ma: MilnorAlgebra, op: MultiplicationOperator,
-                     theta: Polynomial) -> bool:
-    """True iff the classes theta*b, b over the basis, span ker(op).
+def kernel_condition(op: MultiplicationOperator) -> bool:
+    """True iff the ideal (theta) of V_f, theta = q(f), p = t*q, is ker(op).
 
-    They span the ideal (theta) of V_f, of dimension mu - dim V_f/(theta),
-    inside ker(op), whose dimension is mu - rank(op) = tau."""
-    tvec, _ = ma.gb._reduce(theta)
-    if _times(ma, tvec)[0]:
-        raise NotInKernel("theta is not annihilated by multiplication by f")
-    span_dim = ma.mu - _quotient_dimension(ma, tvec)
-    return span_dim == tjurina_number(ma)
+    Write p = t^e * r, r(0) != 0.  (theta) = im q(op), q = t^(e-1) r: r(op)
+    is invertible on the generalised 0-eigenspace and q(op) kills the
+    others, so (theta) has one dimension per Jordan block of size e at 0,
+    and ker(op) one per block at 0, tau in all.  The blocks at 0 have size
+    at most e and sizes summing to dim ker(op^e), so the condition is
+    dim ker(op^e) = e*tau, true at e = 1.  ker(op^e) is V_f when p = t^e,
+    else of dimension dim V_f/([f^e]): one run, on the class of t^e."""
+    ma, p = _algebra_of(op), _krylov(op)[0]
+    e = exponent(p)
+    if e < 1:
+        raise SmoothCurve("0 is not a critical value; no kernel condition")
+    if e == 1:
+        return True
+    power = UniPoly([0] * e + [1], ma.field)
+    kernel_dim = ma.mu if power == p else _quotient_dimension(ma, _class_of(op, power)[0])
+    return kernel_dim == e * tjurina_number(ma)

@@ -14,8 +14,7 @@ the tests compare them.
 """
 
 from curveforms import Polynomial, UniPoly, buchberger
-from curveforms.errors import (FactorNotDividing, InvariantViolation,
-                               NotInKernel, SmoothCurve)
+from curveforms.errors import FactorNotDividing, InvariantViolation, SmoothCurve
 from curveforms.linalg import Matrix, matrix_min_poly, sequence_annihilator
 from curveforms.milnor import (CriticalFactor, JordanProfile,
                                blocks_from_ranks, standard_monomials)
@@ -137,8 +136,14 @@ def dense_jordan_profile(m, factor, minimal=None):
     return JordanProfile(factor, blocks_from_ranks(ranks))
 
 
+class NotInKernel(Exception):
+    """The class given to dense_kernel_condition is not annihilated by the
+    multiplication operator."""
+
+
 def dense_kernel_condition(ma, op, theta):
-    """True iff the classes theta*b, b over the basis, span ker(op)."""
+    """True iff the classes theta*b, b over the basis, span ker(op), for any
+    theta in ker(op)."""
     dense = dense_operator(op)
     tvec = coordinates(ma, theta)
     if any(not ma.field.is_zero(c) for c in apply(dense, tvec)):

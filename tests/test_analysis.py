@@ -8,6 +8,7 @@ from curveforms import (QQ, ModuleVector, TermOrder, UniPoly, Weights,
                         analysis, analyze, groebner, milnor, parse_polynomial,
                         rational, tangent)
 from curveforms.poly import field_from_minpoly
+from conftest import recording_calls
 
 
 def test_circle_report_contents():
@@ -66,18 +67,48 @@ def test_profile_at_zero_skipped_at_exponent_one(monkeypatch):
     assert rep.warnings == []
 
 
-def test_profile_at_zero_computed_when_t_is_not_a_factor(monkeypatch):
+def test_profiles_only_at_the_yun_factors_when_t_is_not_one(monkeypatch):
     # t shares a squarefree factor with another root of the same
     # multiplicity e >= 2; no low-degree curve shows one, so the split of
-    # A'Campo's p = t^2 (t + 16/3125) is patched to the divisor t^2+c*t
+    # A'Campo's p = t^2 (t + 16/3125) is patched to the divisor t^2+c*t.
+    # The warning reads e and the kernel condition, not a profile at t
     merged = milnor.CriticalFactor(UniPoly((0, rational(16, 3125), 1)), 1, ())
     monkeypatch.setattr(milnor, "critical_value_factors", lambda p: [merged])
     seen = []
     monkeypatch.setattr(analysis, "appendix_block_warning",
-                        lambda profile: seen.append(profile.blocks))
+                        lambda e, holds: seen.append((e, holds)))
     rep, calls = _count_profiles(monkeypatch, "x^5+y^5-x^2*y^2")
-    assert calls == ["t^2+16/3125*t", "t"]
-    assert seen == [{1: 9, 2: 1}]
+    assert calls == ["t^2+16/3125*t"]
+    assert seen == [(2, False)]
+
+
+@pytest.mark.parametrize("e, holds, warning", [
+    (3, False, "Jordan blocks of size >= 3 at eigenvalue 0; "
+               "this should be impossible for plane curves"),
+    (2, True, "all Jordan blocks at eigenvalue 0 have size 2; "
+              "this should be impossible for plane curves"),
+    (2, False, None),
+    (1, True, None)])
+def test_appendix_block_warning(e, holds, warning):
+    assert analysis.appendix_block_warning(e, holds) == warning
+
+
+def test_block_warning_fires_when_every_block_at_zero_has_size_two(monkeypatch):
+    # A'Campo n = 5 has e = 2 and one block of size 1 at 0; a kernel
+    # condition that held would put every block at 0 at size 2
+    monkeypatch.setattr(milnor, "kernel_condition", lambda op: True)
+    rep = analyze(parse_polynomial("x^5+y^5-x^2*y^2"))
+    assert rep.kernel_condition is True
+    assert rep.warnings == ["all Jordan blocks at eigenvalue 0 have size 2; "
+                            "this should be impossible for plane curves"]
+
+
+@pytest.mark.parametrize("text", ["x*y-1", "x^5+y^5-x^2*y^2"])
+def test_analyze_builds_the_trivial_forms_once(monkeypatch, text):
+    calls = recording_calls(monkeypatch, tangent, "trivial_forms")
+    rep = analyze(parse_polynomial(text))
+    assert calls == {"trivial_forms": 1}
+    assert rep.trivial == tangent.trivial_forms(rep.f)
 
 
 def test_not_tame_report():

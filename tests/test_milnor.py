@@ -3,7 +3,7 @@
 import pytest
 
 from curveforms import (CurveFormsError, FactorNotDividing, InvariantViolation,
-                        NotFiniteDimensional, NotInKernel, NotTame, QQ,
+                        NotFiniteDimensional, NotTame, QQ,
                         SmoothCurve, TermOrder, UniPoly, Weights,
                         ZeroInput, critical_value_factors, check_tame,
                         exponent, jordan_profile, kernel_condition,
@@ -123,10 +123,10 @@ def test_operator_vanishes_for_weighted_homogeneous():
 
 
 @pytest.mark.parametrize("text, products", [
-    ("(x^3-1)*(y^3-1)*(x^3-y^3)", 5), (ACAMPO, 5), (QUARTIC9, 9)])
+    ("(x^3-1)*(y^3-1)*(x^3-y^3)", 4), (ACAMPO, 4), (QUARTIC9, 9)])
 def test_analyze_multiplies_by_f_once_per_product(monkeypatch, text, products):
-    # deg p Krylov steps, then theta's certificate and the kernel check when
-    # tau > 0; each product is one reduction by the Jacobian basis
+    # deg p Krylov steps, then theta's certificate when tau > 0; each
+    # product is one reduction by the Jacobian basis
     reductions = recording_calls(monkeypatch, groebner, "_normal_form_core")
     per_call, original = [], milnor._times
 
@@ -138,7 +138,7 @@ def test_analyze_multiplies_by_f_once_per_product(monkeypatch, text, products):
         return out
     monkeypatch.setattr(milnor, "_times", counting)
     rep = analyze(_p(text), allow_untame=True)
-    assert rep.min_poly.degree() + (2 if rep.tau else 0) == products
+    assert rep.min_poly.degree() + (1 if rep.tau else 0) == products
     assert per_call == [1] * products
 
 
@@ -212,6 +212,8 @@ def test_exponent_values():
     assert exponent(UniPoly((1, 1))) == 0
     assert exponent(UniPoly((0, 1))) == 1
     assert exponent(UniPoly((1,))) == 0
+    with pytest.raises(ZeroInput):
+        exponent(UniPoly.zero())
 
 
 # -- Jordan profiles -----------------------------------------------------------------
@@ -238,6 +240,10 @@ def test_milnor_routines_need_the_algebra():
         min_poly(op)
     with pytest.raises(TypeError):
         jordan_profile(op, UniPoly.t())
+    with pytest.raises(TypeError):
+        theta_polynomial(op)
+    with pytest.raises(TypeError):
+        kernel_condition(op)
 
 
 def test_tjurina_number_acampo():
@@ -311,16 +317,13 @@ def test_jordan_profile_at_a_simple_factor_needs_one_run(monkeypatch):
 # -- theta and the kernel condition ----------------------------------------------------
 
 def test_theta_for_weighted_homogeneous_is_one():
-    ma = milnor_algebra(_p("x^3+y^3"))
-    op = multiplication_operator(ma)
-    theta = theta_polynomial(ma, op)
-    assert theta == parse_polynomial("1")
+    op = multiplication_operator(milnor_algebra(_p("x^3+y^3")))
+    assert theta_polynomial(op) == parse_polynomial("1")
 
 
 def test_theta_postconditions_acampo():
     ma = milnor_algebra(_p(ACAMPO))
-    op = multiplication_operator(ma)
-    theta = theta_polynomial(ma, op)
+    theta = theta_polynomial(multiplication_operator(ma))
     assert not theta.is_zero()
     assert not ma.gb.reduces_to_zero(theta)          # nonzero in the quotient
     assert ma.gb.reduces_to_zero(ma.f * theta)       # f*theta in the ideal
@@ -328,28 +331,39 @@ def test_theta_postconditions_acampo():
 
 
 def test_theta_rejects_smooth_curves():
-    ma = milnor_algebra(_p("x^2+y^2-1"))
-    op = multiplication_operator(ma)
+    op = multiplication_operator(milnor_algebra(_p("x^2+y^2-1")))
     with pytest.raises(SmoothCurve):
-        theta_polynomial(ma, op)
+        theta_polynomial(op)
 
 
 def test_kernel_condition_cases():
-    ma = milnor_algebra(_p("x^3+y^3"))
-    op = multiplication_operator(ma)
-    assert kernel_condition(ma, op, parse_polynomial("1"))
+    # A'Campo n = 5 and n = 7 have e = 2; x^3+y^3 and Lins Neto have e = 1
+    for text, holds in [(ACAMPO, False), ("x^7+y^7-x^2*y^2", False),
+                        ("x^3+y^3", True), ("(x^3-1)*(y^3-1)*(x^3-y^3)", True)]:
+        op = multiplication_operator(milnor_algebra(_p(text), allow_untame=True))
+        assert kernel_condition(op) is holds, text
+    with pytest.raises(SmoothCurve):
+        kernel_condition(multiplication_operator(milnor_algebra(_p("x^2+y^2-1"))))
 
-    ma = milnor_algebra(_p(ACAMPO))
-    op = multiplication_operator(ma)
-    theta = theta_polynomial(ma, op)
-    assert kernel_condition(ma, op, theta) is False
+
+def test_kernel_condition_at_exponent_one_makes_no_run(monkeypatch):
+    # p = t^2+t: every block at 0 has size 1, so (theta) is all of ker(op)
+    op = multiplication_operator(milnor_algebra(_p("x^3+y^3-3*x*y")))
+    assert exponent(min_poly(op)) == 1
+    calls = recording_calls(monkeypatch, milnor, "_class_of", "_quotient_rows", "_times")
+    assert kernel_condition(op) is True
+    assert calls == {"_class_of": 0, "_quotient_rows": 0, "_times": 0}
 
 
-def test_kernel_condition_rejects_non_kernel_class():
-    ma = milnor_algebra(_p(ACAMPO))
-    op = multiplication_operator(ma)
-    with pytest.raises(NotInKernel):
-        kernel_condition(ma, op, parse_polynomial("1"))
+def test_kernel_condition_at_exponent_two_reads_one_rank(monkeypatch):
+    # p = t^2 (t + 16/3125): dim ker(op^2) = dim V_f/([f^2]) = 11, not
+    # 2*tau = 20; the class of f^2 and the run on it are the only new work
+    op = multiplication_operator(milnor_algebra(_p(ACAMPO)))
+    min_poly(op)
+    tjurina_number(op.algebra)
+    runs = recording_calls(monkeypatch, milnor, "_run_buchberger", "_class_of", "_times")
+    assert kernel_condition(op) is False
+    assert runs == {"_run_buchberger": 1, "_class_of": 1, "_times": 0}
 
 
 # -- cross-checks ---------------------------------------------------------------------

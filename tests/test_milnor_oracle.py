@@ -63,7 +63,7 @@ def assert_matches_rational(ma, op, p):
         assert jordan_profile(op, factor) == oracle.jordan_profile(op, factor)
     assert tjurina_number(ma) == oracle.tjurina_number(ma)
     if exponent(p) >= 1:
-        assert theta_polynomial(ma, op) == oracle.theta_polynomial(ma, op, p)
+        assert theta_polynomial(op) == oracle.theta_polynomial(ma, op, p)
     return factors
 
 
@@ -100,9 +100,7 @@ def assert_matches_dense(ma):
         op, p, m, assert_matches_rational(ma, op, p))
     assert ma.mu - tjurina_number(ma) == m.rank()
     if exponent(p) >= 1:
-        theta = theta_polynomial(ma, op)
-        assert (kernel_condition(ma, op, theta)
-                == dense_kernel_condition(ma, op, theta))
+        assert kernel_condition(op) == dense_kernel_condition(ma, op, theta_polynomial(op))
     assert_report_matches(ma, p, dense)
 
 
@@ -160,6 +158,13 @@ def test_every_divisor_profile_matches_dense(text, minpoly):
     p = min_poly(op)
     assert len(monic_divisors(p)) == 5
     assert_divisor_profiles_match_dense(op, p, dense_operator(op))
+
+
+def test_dense_kernel_condition_rejects_a_class_outside_the_kernel():
+    # the reference takes any theta, so it checks f*theta in J first
+    ma = milnor_algebra(parse_polynomial("x^5+y^5-x^2*y^2"))
+    with pytest.raises(oracle.NotInKernel):
+        dense_kernel_condition(ma, multiplication_operator(ma), parse_polynomial("1"))
 
 
 @settings(max_examples=40, deadline=None)

@@ -71,7 +71,7 @@ def test_syzygy_generators_are_tangent(f):
     if exponent(min_poly(op)) == 0:
         candidate = smooth_generators(f, 0)
     else:
-        candidate = four_generators(f, ma, theta_polynomial(ma, op))
+        candidate = four_generators(f, ma, theta_polynomial(op))
     for w in syzygy_generators(f).forms + candidate.forms:
         assert is_tangent(f, w)
 
@@ -120,7 +120,7 @@ def test_corrupted_kernel_lift_is_an_invariant_violation(monkeypatch, capsys, pa
     text = "x^4+2*y^4+x^2-x*y^2+2*x*y-3*y^3"
     f = _p(text)
     ma = milnor_algebra(f)
-    candidate = four_generators(f, ma, theta_polynomial(ma, multiplication_operator(ma)))
+    candidate = four_generators(f, ma, theta_polynomial(multiplication_operator(ma)))
     assert len(syzygy_generators(f, None, candidate)) == len(syzygy_generators(f))
     for unit in (None, True):
         with pytest.raises(InvariantViolation):
@@ -137,7 +137,7 @@ def test_corrupted_kernel_cofactor_is_an_invariant_violation(monkeypatch, capsys
     f = _p(ACAMPO)
     ma = milnor_algebra(f)
     op = multiplication_operator(ma)
-    theta = theta_polynomial(ma, op)
+    theta = theta_polynomial(op)
     original = tangent.membership
 
     def corrupted(*args):
@@ -203,7 +203,7 @@ def test_omega_for_fermat_cubic_satisfies_euler_identity():
     g = _p("x^3+y^3")
     ma = milnor_algebra(g)
     op = multiplication_operator(ma)
-    theta = theta_polynomial(ma, op)
+    theta = theta_polynomial(op)
     omega = omega_from_theta(g, ma, theta)
     assert wedge(exterior_derivative(g), omega).coeff == g
     # the Euler form itself; our cofactors reproduce it exactly
@@ -221,7 +221,7 @@ def test_four_generator_set_acampo_fails_generation():
     f = _p(ACAMPO)
     ma = milnor_algebra(f)
     op = multiplication_operator(ma)
-    theta = theta_polynomial(ma, op)
+    theta = theta_polynomial(op)
     four = four_generators(f, ma, theta)
     assert len(four.forms) == 4
     assert four.forms[3] == omega_from_theta(f, ma, theta)
