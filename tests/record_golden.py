@@ -33,6 +33,10 @@ CASES = {
     "node": ("x*y", (1, 1), None, False),
     "cusp_w32": ("x^2+y^3", (3, 2), None, False),
     "acampo5": ("x^5+y^5-x^2*y^2", (1, 1), None, False),
+    # exponent 2, so the relations come from the augmented run: mu = 36,
+    # tau = 14, and the same family over Q(i)
+    "acampo7": ("x^7+y^7-x^2*y^2", (1, 1), None, False),
+    "acampo5_qi": ("x^5+y^5-z*x^2*y^2", (1, 1), "z^2+1", False),
     "linsneto3": ("(x^3-1)*(y^3-1)*(x^3-y^3)", (1, 1), None, True),
     "linsneto4": ("(x^4-1)*(y^4-1)*(x^4-y^4)", (1, 1), None, True),
     "lissajous": ("2*(2*x^2-1)^2+(2*y+1)^2*(y-1)", (1, 1), None, False),
