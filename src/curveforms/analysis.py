@@ -232,10 +232,12 @@ def analyze(f: Polynomial, weights: Weights = Weights(1, 1), *,
     timings["forms"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # the candidate's lifts generate every relation when <f, f_x, f_y> (with
-    # omega also theta, P_w, Q_w) is (1), which tau = 0 already proves
-    unit = report.tau == 0 or milnor.unit_ideal(
-        ma, report.theta, report.omega.P, report.omega.Q)
+    # the candidate's lifts generate every relation when I = <f, f_x, f_y>
+    # (with omega also theta, P_w, Q_w) is (1): at e = 0 tau = 0 proves it,
+    # and at e = 1, p = t*r with r = r(0) + t*s, so theta = r(f) mod
+    # <f_x, f_y> and the constant r(0) = theta - (theta - r(f)) - f*s(f)
+    # lies in I; at e >= 2 the augmented run gives the relations
+    unit = report.exponent <= 1
     raw = tangent.syzygy_generators(f, order, candidate, unit)
     report.syzygy_count = len(raw)
     gen = unit or tangent.verify_generation(candidate, raw)

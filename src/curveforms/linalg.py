@@ -121,9 +121,6 @@ class UniPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
-
     def monic(self) -> "UniPoly":
         if self.is_zero():
             raise ZeroInput("cannot normalize the zero polynomial")

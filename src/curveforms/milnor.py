@@ -20,12 +20,15 @@ by the Jacobian basis, and the engine's reduction finds the Krylov
 dependence.  The class of f is reduced once per algebra.  Field scalars
 appear only in the results.
 
-The minimal polynomial p fixes four facts that need no further run: op is
+The minimal polynomial p fixes five facts that need no further run: op is
 invertible exactly when t does not divide p, so tau = 0 at exponent 0; p is
 squarefree when gcd(p, p') = 1; h(op)^k has the rank of gcd(p, h^k)(op),
 so the ranks at h stop falling once gcd(p, h^k) stops growing, and
-p(op) = 0 has ranks mu, 0; and (theta) = ker(op) exactly when
-dim ker(op^e) = e*tau at p = t^e * r, r(0) != 0, always so at e = 1.
+p(op) = 0 has ranks mu, 0; (theta) = ker(op) exactly when
+dim ker(op^e) = e*tau at p = t^e * r, r(0) != 0, always so at e = 1; and
+I = (1) at e <= 1, for I = <f, f_x, f_y> (with theta at e = 1): tau = 0 at
+e = 0, and at e = 1, with p = t*r and r = r(0) + t*s, theta = r(f) mod
+<f_x, f_y>, so r(0) = theta - (theta - r(f)) - f*s(f) lies in I.
 """
 
 from __future__ import annotations
@@ -213,31 +216,24 @@ def _class_of(op: MultiplicationOperator, h: UniPoly):
     return coding.divided(acc, g), s * g
 
 
-def _quotient_rows(ma: MilnorAlgebra, *gs) -> list:
-    """Reduced basis rows of <f_x, f_y, g_1, ...> for coded g_k in normal
+def _quotient_rows(ma: MilnorAlgebra, g) -> list:
+    """Reduced basis rows of <f_x, f_y, g> for a nonzero coded g in normal
     form, by a run seeded with the Jacobian basis's engine vectors, once per
-    set of lines: tau and the first rank at the root 0 share the line of [f]."""
-    gs = [ma.gb.coding.normalized(g, max(g)) for g in gs if g]
-    lines = frozenset(frozenset(g.items()) for g in gs)
-    if lines not in ma._rows:
-        ma._rows[lines] = _run_buchberger([c for c, _ in ma.gb._cores] + gs,
-                                          ma.gb.order, ma.gb.coding)
-    return ma._rows[lines]
+    line of g: tau and the first rank at the root 0 share the line of [f]."""
+    g = ma.gb.coding.normalized(g, max(g))
+    line = frozenset(g.items())
+    if line not in ma._rows:
+        ma._rows[line] = _run_buchberger([c for c, _ in ma.gb._cores] + [g],
+                                         ma.gb.order, ma.gb.coding)
+    return ma._rows[line]
 
 
-def _quotient_dimension(ma: MilnorAlgebra, *gs) -> int:
-    """dim K[x,y]/<f_x, f_y, g_1, ...> = dim V_f/(g_1, ...)."""
-    if not any(gs):
+def _quotient_dimension(ma: MilnorAlgebra, g) -> int:
+    """dim K[x,y]/<f_x, f_y, g> = dim V_f/(g) for a coded class g."""
+    if not g:
         return ma.mu
-    rows = _quotient_rows(ma, *gs)
+    rows = _quotient_rows(ma, g)
     return len(standard_monomials([_unpack(t) for _, t in rows], ma.order))
-
-
-def unit_ideal(ma: MilnorAlgebra, *polys) -> bool:
-    """<f_x, f_y, f, polys> == (1)?  One run seeded with the Jacobian basis,
-    [f] and the classes of polys decides."""
-    return _quotient_dimension(ma, ma.f_class[0],
-                               *(ma.gb._reduce(p)[0] for p in polys)) == 0
 
 
 def tjurina_number(ma: MilnorAlgebra) -> int:
@@ -311,12 +307,6 @@ def critical_value_factors(p: UniPoly):
 class JordanProfile:
     factor: UniPoly
     blocks: dict  # size -> count, aggregated over the roots of the factor
-
-    def total_dimension(self) -> int:
-        return sum(size * count for size, count in self.blocks.items())
-
-    def max_size(self) -> int:
-        return max(self.blocks, default=0)
 
 
 def blocks_from_ranks(ranks) -> dict:

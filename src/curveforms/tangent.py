@@ -78,12 +78,15 @@ def syzygy_generators(f: Polynomial, order=None, candidate=None,
     divides their wedge.  So I*Syz lies in the module of the lifts: when
     I = (1) their reduced basis under ModuleOrder(order.base, 3), one plain
     run, is the unique reduced basis of Syz, and the candidate generates;
-    else the augmented run of syzygies gives it.  By the local form of K.
-    Saito's criterion ("Theory of logarithmic differential forms and
-    logarithmic vector fields", 1980) I = (1) exactly when the candidate
-    generates; only the choice of the fallback relies on that converse.
-    ``unit`` is I = (1) as a caller has proven it; None decides it by a run
-    that stops at its first constant.
+    else the augmented run of syzygies gives it.  Both routes return that
+    unique basis when I = (1), so a False ``unit`` costs time, never the
+    answer, and no route relies on the converse of K. Saito's criterion
+    ("Theory of logarithmic differential forms and logarithmic vector
+    fields", 1980; locally, I = (1) exactly when the candidate generates).
+    ``unit`` True is I = (1) as a caller has proven it: analyze proves it
+    from the exponent e of the minimal polynomial at e <= 1 and passes
+    False at e >= 2.  None decides it by a run that stops at its first
+    constant.
     Each row is checked on engine vectors: q*f_x - p*f_y + c*f = 0.  The set
     carries their projection to (p, q) as its basis and its forms."""
     if f.is_constant():

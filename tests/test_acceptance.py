@@ -284,7 +284,7 @@ def test_criterion_11_block_size_bound():
     details = []
     for text, profile in profiles:
         sizes = set(profile.blocks)
-        if profile.max_size() > 2 or sizes == {2}:
+        if max(sizes) > 2 or sizes == {2}:
             ok = False
             details.append(f"{text}: {profile.blocks}")
     _report(11, "no block of size >= 3 at eigenvalue 0 and never all size 2",

@@ -188,6 +188,24 @@ def test_analyze_computes_tau_once(monkeypatch):
     assert sum(seeds == tau_seeds for seeds in calls) == 1
 
 
+@pytest.mark.parametrize("text, minpoly, allow_untame, runs", [
+    ("x*y-1", None, False, 0),        # e = 0: tau = 0 with no run
+    ("x*y", None, False, 0),          # e = 1 and f in J: tau = mu with no run
+    ("x^4+2*y^4+x^2-x*y^2+2*x*y-3*y^3", "z^2+1", False, 1),  # e = 1: tau
+    ("(x^3-1)*(y^3-1)*(x^3-y^3)", None, True, 1),            # e = 1: tau
+    ("x^5+y^5-x^2*y^2", None, False, 3),  # e = 2: tau, the rank at t^2 and at t+16/3125
+])
+def test_exponent_decides_the_unit_ideal_without_a_run(monkeypatch, text, minpoly,
+                                                       allow_untame, runs):
+    # at e <= 1 the minimal polynomial proves <f, f_x, f_y, theta> = (1), so
+    # the Milnor stage makes only its quotient runs and no decision run
+    f = parse_polynomial(text, field_from_minpoly(minpoly) if minpoly else QQ)
+    calls = recording_calls(monkeypatch, milnor, "_run_buchberger")
+    rep = analyze(f, allow_untame=allow_untame)
+    assert calls == {"_run_buchberger": runs}
+    assert rep.generation["generates"] is (rep.exponent <= 1)
+
+
 def test_analyze_checks_tameness_once(monkeypatch):
     f = parse_polynomial("x^5+y^5-x^2*y^2")
     top_jacobian = milnor.jacobian(f.leading_form(Weights(1, 1)))

@@ -156,8 +156,8 @@ def test_product_outside_the_standard_span_is_an_invariant_violation(monkeypatch
 
 
 def test_analyze_reduces_f_once(monkeypatch):
-    # the operator, both Tjurina numbers and unit_ideal read the class of f
-    # that the algebra reduces once
+    # the operator and both Tjurina numbers read the class of f that the
+    # algebra reduces once
     f, seen = _p(ACAMPO), []
     original = GroebnerBasis._reduce
 
@@ -270,7 +270,8 @@ def test_jordan_block_dimensions_sum_to_mu():
     op = multiplication_operator(ma)
     total = 0
     for cfac in critical_value_factors(min_poly(op)):
-        total += jordan_profile(op, cfac.factor).total_dimension()
+        blocks = jordan_profile(op, cfac.factor).blocks
+        total += sum(size * count for size, count in blocks.items())
     assert total == ma.mu
 
 

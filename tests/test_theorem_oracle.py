@@ -8,6 +8,12 @@ appendix's bound on the Jordan blocks at 0 makes that e = 1.  So every
 report must have generation == (e <= 1), and kernel_condition == (e == 1)
 wherever e >= 1.  The reports are the golden files, every report the
 corpus builds, and the small-batch benchmark curves of three seeds.
+
+analyze routes generation by e alone: at e <= 1 the ideal
+I = <f, f_x, f_y, theta, P_w, Q_w> is (1) by the minimal polynomial, and
+at e >= 2 the augmented run gives the relations.  Every singular report
+here also gets the run analyze no longer makes: <f, f_x, f_y, theta> is
+(1) at e = 1, and I is not (1) at e >= 2.
 """
 
 import glob
@@ -18,7 +24,7 @@ import sys
 
 import pytest
 
-from curveforms import QQ, analysis, analyze, corpus, parse_polynomial
+from curveforms import QQ, analysis, analyze, buchberger, corpus, parse_polynomial
 from curveforms.poly import field_from_minpoly
 from record_golden import GOLDEN_DIR
 
@@ -35,15 +41,32 @@ def _workloads():
     return module
 
 
+def assert_unit_certificate(doc):
+    """At e = 1, <f, f_x, f_y, theta> is (1); at e >= 2,
+    <f, f_x, f_y, theta, P_w, Q_w> is not.  The polynomials are parsed
+    back from the report document."""
+    spec = doc["input"]["field"]
+    field = (field_from_minpoly(spec["minpoly"], spec["generator"])
+             if spec["kind"] == "extension" else QQ)
+    f = parse_polynomial(doc["input"]["f"], field)
+    gens = [f, f.diff("x"), f.diff("y"), parse_polynomial(doc["theta"], field)]
+    if doc["exponent"] >= 2:
+        gens += [parse_polynomial(doc["omega"][c], field) for c in "PQ"]
+    unit = buchberger(gens).leading_terms() == [(0, 0, 0)]
+    assert unit == (doc["exponent"] == 1), doc["input"]
+
+
 def assert_theorem(doc):
     """generation and kernel_condition of one report document agree with
-    its exponent; returns whether the report reached the Milnor stage."""
+    its exponent, and so does the unit-ideal certificate; returns whether
+    the report reached the Milnor stage."""
     if "exponent" not in doc:
         return False
     e = doc["exponent"]
     assert doc["generation"]["generates"] == (e <= 1), doc["input"]
     if e >= 1:
         assert doc["kernel_condition"] == (e == 1), doc["input"]
+        assert_unit_certificate(doc)
     else:
         assert "kernel_condition" not in doc
     return True
@@ -58,7 +81,7 @@ def test_golden_reports_obey_the_theorem():
             checked += assert_theorem(json.load(fh))
     # five inputs (Lissajous, deltoid, rose, Riccati and the Q(i) cusp) are
     # not tame and stop before the Milnor stage
-    assert (len(paths), checked) == (24, 19)
+    assert (len(paths), checked) == (26, 21)
 
 
 def test_corpus_reports_obey_the_theorem(monkeypatch):
