@@ -17,7 +17,7 @@ from .milnor import (CriticalFactor, JordanProfile, MilnorAlgebra, TameResult,
                      min_poly, multiplication_operator, standard_monomials,
                      theta_polynomial, tjurina_number)
 from .poly import (GREVLEX, NEG_INFINITY, OneForm, Polynomial, TermOrder,
-                   TwoForm, Weights, exterior_derivative, field_from_minpoly,
+                   Weights, exterior_derivative, field_from_minpoly,
                    format_one_form, format_polynomial, parse_polynomial,
                    parse_scalar, parse_univariate, pullback, wedge)
 from .tangent import (GenerationResult, GeneratorSet, SaitoResult,

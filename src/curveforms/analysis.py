@@ -213,11 +213,12 @@ def analyze(f: Polynomial, weights: Weights = Weights(1, 1), *,
             "top-degree monomial; reported, not fatal")
 
     if f.is_homogeneous(weights):
-        dg, eta = tangent.quasihomogeneous_pair(f, weights)
-        s = tangent.saito_check([dg, eta], f)
+        # quasihomogeneous_pair raises unless dg ^ eta = f (Euler's
+        # identity), so the pair's Saito constant is 1
+        eta = tangent.quasihomogeneous_pair(f, weights)[1]
         report.quasi_homogeneous = {
             "eta": _form_dict(eta),
-            "saito_constant": f.field.format_scalar(s.constant) if s.free else None,
+            "saito_constant": f.field.format_scalar(f.field.one),
         }
 
     t0 = time.perf_counter()
@@ -252,13 +253,14 @@ def analyze(f: Polynomial, weights: Weights = Weights(1, 1), *,
     mini = tangent.minimal_generators(raw)
     report.minimal = mini.forms
     if len(mini) == 2:
-        # a free pair generates: a tangent w has c*f*w = (w ^ w_inf)*w_0 +
-        # (w_0 ^ w)*w_inf, and f divides both wedges on a reduced curve
-        s = tangent.saito_check(mini.forms, f)
+        # the relation rows prove both forms tangent and mu < oo makes f
+        # reduced, so Saito's criterion applies: a tangent w has c*f*w =
+        # (w ^ w_inf)*w_0 + (w_0 ^ w)*w_inf, and f divides both wedges
+        c = tangent._saito_constant(*mini.forms, f)
         report.saito = {
-            "free": s.free,
-            "constant": f.field.format_scalar(s.constant) if s.free else None,
-            "pair": [_form_dict(w) for w in mini.forms] if s.free else None,
+            "free": c is not None,
+            "constant": None if c is None else f.field.format_scalar(c),
+            "pair": None if c is None else [_form_dict(w) for w in mini.forms],
         }
     timings["minimal"] = time.perf_counter() - t0
     return report

@@ -1,6 +1,6 @@
 """Sparse bivariate polynomials over an exact field, with weighted monomial
-orders, module vectors (differential 1- and 2-forms among them), and a text
-grammar.
+orders, module vectors (differential 1-forms among them), the wedge of two
+1-forms as its dx^dy coefficient, and a text grammar.
 
 Monomials are plain ``(i, j)`` exponent pairs.  The term order used
 throughout is weighted degree first, ties broken reverse-lexicographically
@@ -386,28 +386,11 @@ class OneForm(ModuleVector):
     __repr__ = __str__
 
 
-class TwoForm(ModuleVector):
-    """c dx^dy, the rank-1 vector (c,)."""
-
-    __slots__ = ()
-
-    def __init__(self, coeff: Polynomial):
-        super().__init__((coeff,))
-
-    @property
-    def coeff(self) -> Polynomial:
-        return self.components[0]
-
-    def __str__(self):
-        return f"[{format_polynomial(self.coeff)}] dx^dy"
-
-    __repr__ = __str__
-
-
-def wedge(u: OneForm, v: OneForm) -> TwoForm:
-    """u ^ v.  Convention: (P dx + Q dy) ^ (R dx + S dy) = (P S - Q R) dx^dy."""
+def wedge(u: OneForm, v: OneForm) -> Polynomial:
+    """The coefficient c of u ^ v = c dx^dy.  Convention:
+    (P dx + Q dy) ^ (R dx + S dy) = (P S - Q R) dx^dy."""
     check_same_field(u.field, v.field)
-    return TwoForm(u.P * v.Q - u.Q * v.P)
+    return u.P * v.Q - u.Q * v.P
 
 
 def exterior_derivative(p: Polynomial) -> OneForm:

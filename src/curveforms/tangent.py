@@ -7,13 +7,15 @@ reduced basis is the projection of theirs (see minimal_generators).  On top
 of that raw construction sit: the kernel form built from a witness theta
 (f*theta = A*f_x + B*f_y gives -B dx + A dy), the relations from a
 candidate's lifts, generation verification by reduction to zero, greedy
-irredundant generating sets, and the Saito wedge test for freeness.
+irredundant generating sets, and K. Saito's criterion for freeness.
 
 Each constructed form is certified once, by the identity that builds it:
 a raw form by its relation row, the kernel form by df ^ omega = theta*f, and
 f dx, f dy, df by df ^ f dx = -f_y*f, df ^ f dy = f_x*f, df ^ df = 0.
 is_tangent checks forms from outside these constructors by one untracked
 division by f; omega takes its cofactors from a membership certificate.
+saito_check proves a pair from outside tangent and f reduced, the
+criterion's hypotheses; analyze's own pairs meet them by construction.
 """
 
 from __future__ import annotations
@@ -25,18 +27,18 @@ from .errors import (InvalidInput, InvariantViolation, NotHomogeneous,
                      NotInJacobian, NotSmooth, NotTangent, ZeroInput)
 from .field import Rational
 from .groebner import GroebnerBasis, ModuleOrder, buchberger, membership, syzygies
-from .milnor import MilnorAlgebra, jacobian
+from .milnor import MilnorAlgebra, jacobian, standard_monomials
 from .poly import (ModuleVector, OneForm, Polynomial, TermOrder, Weights,
                    exterior_derivative, format_one_form, wedge)
 
 
 def tangency_defect(f: Polynomial, w: OneForm) -> Polynomial:
-    """Normal form of f_x*Q - f_y*P modulo <f>; zero iff w is tangent.  [f]
-    is already a Groebner basis of <f>, so this is one division."""
+    """Normal form of df ^ w modulo <f>; zero iff w is tangent.  [f] is
+    already a Groebner basis of <f>, so this is one division."""
     if f.is_zero():
         raise ZeroInput("need a nonzero polynomial")
     gb = GroebnerBasis([ModuleVector((f,))], ModuleOrder(TermOrder()), f.field, 1)
-    return gb.normal_form(f.diff("x") * w.Q - f.diff("y") * w.P).components[0]
+    return gb.normal_form(wedge(exterior_derivative(f), w)).components[0]
 
 
 def is_tangent(f: Polynomial, w: OneForm) -> bool:
@@ -133,7 +135,7 @@ def omega_from_theta(f: Polynomial, ma: MilnorAlgebra,
         raise NotInJacobian("f*theta does not reduce to zero; bad theta")
     a, b = cert.cofactors
     omega = OneForm(-b, a)
-    if wedge(exterior_derivative(f), omega).coeff != f * theta:
+    if wedge(exterior_derivative(f), omega) != f * theta:
         raise InvariantViolation("wedge identity for the kernel form failed")
     return omega
 
@@ -186,29 +188,36 @@ def minimal_generators(gens: GeneratorSet) -> GeneratorSet:
 @dataclass
 class SaitoResult:
     free: bool
-    constant: Optional[object]  # scalar c with w0 ^ winf = c * f dx^dy
-    pair: Optional[tuple]
+    constant: Optional[object]  # scalar c with w0 ^ winf = c*f
 
     def __bool__(self):
         return self.free
 
 
+def _saito_constant(w0: OneForm, winf: OneForm, f: Polynomial):
+    """The nonzero scalar c with w0 ^ winf = c*f, or None.  The only
+    candidate is c = wedge_m / f_m at one monomial m of the nonzero f."""
+    coeff = wedge(w0, winf)
+    m, fm = next(iter(f.terms.items()))
+    c = coeff.terms.get(m, f.field.zero) / fm
+    return None if f.field.is_zero(c) or coeff != f * c else c
+
+
 def saito_check(pair: Sequence[OneForm], f: Polynomial) -> SaitoResult:
-    """Freeness test: the pair generates freely iff its wedge is a nonzero
-    constant multiple of f.  The only candidate constant is c = wedge_m / f_m
-    at one monomial m of f, so the test is c != 0 and wedge == c*f."""
+    """K. Saito's criterion: for a reduced f, two tangent forms generate the
+    tangent module freely iff w0 ^ winf = c*f with c a nonzero constant.  A
+    repeated factor g^2 of f makes g = 0 singular, so f is reduced exactly
+    when K[x,y]/<f, f_x, f_y> is finite-dimensional; otherwise the
+    criterion does not apply and InvalidInput is raised."""
     if len(pair) != 2 or not all(isinstance(w, OneForm) for w in pair):
         raise InvalidInput("the freeness test takes exactly two forms")
-    w0, winf = pair
-    for w in (w0, winf):
+    for w in pair:
         if not is_tangent(f, w):
             raise NotTangent(f"not tangent to the curve: {format_one_form(w)}")
-    coeff = wedge(w0, winf).coeff
-    m, fm = next(iter(f.terms.items()))  # f != 0: is_tangent refuses it
-    c = coeff.terms.get(m, f.field.zero) / fm
-    if f.field.is_zero(c) or coeff != f * c:
-        return SaitoResult(False, None, None)
-    return SaitoResult(True, c, (w0, winf))
+    if standard_monomials(buchberger([f, *jacobian(f)]), TermOrder()) is None:
+        raise InvalidInput("the freeness test needs a reduced f (no repeated factor)")
+    c = _saito_constant(*pair, f)
+    return SaitoResult(c is not None, c)
 
 
 def quasihomogeneous_pair(g: Polynomial, weights: Weights):
@@ -228,6 +237,6 @@ def quasihomogeneous_pair(g: Polynomial, weights: Weights):
         Polynomial.term(fld.from_rational(Rational(-a2, d)), (0, 1), fld),
         Polynomial.term(fld.from_rational(Rational(a1, d)), (1, 0), fld))
     dg = exterior_derivative(g)
-    if wedge(dg, eta).coeff != g:
+    if wedge(dg, eta) != g:
         raise InvariantViolation("Euler identity failed; weights are wrong")
     return dg, eta

@@ -18,9 +18,9 @@ import pytest
 from hypothesis import assume, given, settings
 
 import rational_oracle as oracle
-from curveforms import (QQ, ModuleVector, OneForm, Polynomial, TermOrder,
-                        buchberger, groebner, membership, parse_polynomial,
-                        recombine, syzygies, tangent)
+from curveforms import (QQ, InvalidInput, ModuleVector, OneForm, Polynomial,
+                        TermOrder, buchberger, groebner, membership,
+                        parse_polynomial, recombine, syzygies, tangent)
 from curveforms.field import ExtElement, NumberField, Rational
 from curveforms.poly import field_from_minpoly
 from curveforms.tangent import (saito_check, syzygy_generators, tangency_defect,
@@ -217,6 +217,13 @@ def tangency_assumed():
         tangent.is_tangent = original
 
 
+def reduced(f):
+    """K[x,y]/<f, f_x, f_y> is finite-dimensional, i.e. f has no repeated
+    factor: the oracle's leading terms hold a pure power of x and of y."""
+    lts = [lt for _, lt in oracle.buchberger([f, f.diff("x"), f.diff("y")]).rows]
+    return any(j == 0 for _, _, j in lts) and any(i == 0 for _, i, _ in lts)
+
+
 @st.composite
 def wedges(draw, field):
     """(f, W) with W = c*f, c*f plus one term, g*f with g not constant, or 0."""
@@ -239,7 +246,8 @@ def wedges(draw, field):
     lambda field: st.tuples(wedges(field), polys(field), polys(field))))
 def test_division_by_f_matches_principal_basis(case):
     # tangency_defect and saito_check each divide by [f] once, untracked;
-    # the oracle's tracked division gives the quotient that decides freeness
+    # the oracle's tracked division gives the quotient that decides freeness,
+    # and saito_check refuses an f with a repeated factor
     (f, wedge_coeff), p, q = case
     if f.is_zero():
         return
@@ -253,8 +261,13 @@ def test_division_by_f_matches_principal_basis(case):
     assert quotient * f + ref_rem.components[0] == wedge_coeff
     free = not wedge_coeff.is_zero() and ref_rem.is_zero() and quotient.is_constant()
     one, zero = Polynomial.constant(1, f.field), Polynomial.zero(f.field)
+    pair = [OneForm(one, zero), OneForm(zero, wedge_coeff)]
+    if not reduced(f):
+        with tangency_assumed(), pytest.raises(InvalidInput):
+            saito_check(pair, f)
+        return
     with tangency_assumed():
-        result = saito_check([OneForm(one, zero), OneForm(zero, wedge_coeff)], f)
+        result = saito_check(pair, f)
     assert result.free == free
     assert result.constant == (quotient.constant_value() if free else None)
     if free:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from conftest import as_poly, ndiff, nmul, poly_dict, polynomials, recording_calls
 from curveforms import (NEG_INFINITY, InvalidInput, ModuleVector, NumberField,
                         OneForm, PolySyntaxError, Polynomial, QQ, RankMismatch,
-                        Rational, TermOrder, TwoForm, UnknownSymbol, Weights,
+                        Rational, TermOrder, UnknownSymbol, Weights,
                         ZeroInput, exterior_derivative, field_from_minpoly,
                         format_one_form, format_polynomial, parse_polynomial,
                         pullback, wedge)
@@ -215,7 +215,7 @@ def test_wedge_circle_pair():
     f = parse_polynomial("x*y-1")
     w0 = OneForm(parse_polynomial("y^2"), Polynomial.constant(1))
     winf = OneForm(f, Polynomial.zero())
-    assert wedge(w0, winf).coeff == -f
+    assert wedge(w0, winf) == -f
 
 
 def test_wedge_alternating():
@@ -233,9 +233,9 @@ def test_wedge_lins_neto_pair_against_expansion_oracle():
     w0 = OneForm(parse_polynomial("-(y^3-1)*x^2"),
                  parse_polynomial("(x^3-1)*y^2"))
     winf = OneForm(parse_polynomial("-(y^4-y)"), parse_polynomial("x^4-x"))
-    assert wedge(w0, winf).coeff == as_poly(expected)
+    assert wedge(w0, winf) == as_poly(expected)
     f = parse_polynomial("(x^3-1)*(y^3-1)*(x^3-y^3)")
-    assert wedge(w0, winf).coeff == -f
+    assert wedge(w0, winf) == -f
 
 
 @settings(max_examples=100, deadline=None)
@@ -243,15 +243,15 @@ def test_wedge_lins_neto_pair_against_expansion_oracle():
 def test_wedge_bilinear(a, b, c, d):
     u, v = OneForm(a, b), OneForm(c, d)
     w = OneForm(b, a)
-    assert wedge(u + w, v).coeff == (wedge(u, v).coeff + wedge(w, v).coeff)
-    assert wedge(u, v).coeff == -wedge(v, u).coeff
+    assert wedge(u + w, v) == wedge(u, v) + wedge(w, v)
+    assert wedge(u, v) == -wedge(v, u)
 
 
 @settings(max_examples=100, deadline=None)
 @given(polynomials(nonzero=True), polynomials(), polynomials())
 def test_wedge_sign_convention_lock(f, a, b):
     # df ^ (-B dx + A dy) must equal (A f_x + B f_y) dx^dy
-    lhs = wedge(exterior_derivative(f), OneForm(-b, a)).coeff
+    lhs = wedge(exterior_derivative(f), OneForm(-b, a))
     rhs = a * f.diff("x") + b * f.diff("y")
     assert lhs == rhs
 
@@ -307,24 +307,20 @@ def test_form_arithmetic_rejects_other_operands():
             form + P
 
 
-def test_wedge_is_a_rank_one_vector():
+def test_wedge_returns_the_coefficient_polynomial():
+    # (P dx + Q dy) ^ (R dx + S dy) = (P*S - Q*R) dx^dy, returned as P*S - Q*R
     u = OneForm(parse_polynomial("x^2+y"), parse_polynomial("x*y-1"))
     v = OneForm(parse_polynomial("y^3"), parse_polynomial("2*x-y"))
     two = wedge(u, v)
-    assert type(two) is TwoForm and isinstance(two, ModuleVector)
-    assert two.rank == 1
-    assert two.coeff == u.P * v.Q - u.Q * v.P
-    assert two == ModuleVector((two.coeff,))
-    assert type(-two) is TwoForm and (-two).coeff == -two.coeff
+    assert type(two) is Polynomial
+    assert two == u.P * v.Q - u.Q * v.P
+    assert two == parse_polynomial("2*x^3-x^2*y+2*x*y-y^2-x*y^4+y^3")
 
 
 def test_forms_print_through_the_canonical_printer():
     w = OneForm(parse_polynomial("-x^2+1/2*y"), parse_polynomial("x*y"))
     assert str(w) == repr(w) == format_one_form(w)
     assert str(w) == "[-x^2+1/2*y] dx + [x*y] dy"
-    two = wedge(w, exterior_derivative(parse_polynomial("x*y-1")))
-    assert str(two) == repr(two) == f"[{format_polynomial(two.coeff)}] dx^dy"
-    assert str(TwoForm(parse_polynomial("x-1"))) == "[x-1] dx^dy"
 
 
 # -- evaluation and substitution ----------------------------------------------

@@ -63,9 +63,9 @@ def test_syzygy_generators_are_tangent(f):
     fx, fy = f.diff("x"), f.diff("y")
     df = exterior_derivative(f)
     f_dx, f_dy, _ = trivial_forms(f)
-    assert wedge(df, f_dx).coeff == -fy * f
-    assert wedge(df, f_dy).coeff == fx * f
-    assert wedge(df, df).coeff.is_zero()
+    assert wedge(df, f_dx) == -fy * f
+    assert wedge(df, f_dy) == fx * f
+    assert wedge(df, df).is_zero()
     ma = milnor_algebra(f)
     op = multiplication_operator(ma)
     if exponent(min_poly(op)) == 0:
@@ -166,7 +166,7 @@ def test_jacobian_basis_tracks_no_cofactors(monkeypatch):
 
 @pytest.mark.parametrize("text, minpoly, count", [
     (ACAMPO, None, 0),
-    ("x*y-1", None, 2),  # both from saito_check on the minimal pair
+    ("x*y-1", None, 0),  # the minimal pair's Saito constant needs no check
     ("x^4+2*y^4+x^2-x*y^2+2*x*y-3*y^3", "z^2+1", 0),
 ])
 def test_analyze_checks_no_constructed_form_twice(monkeypatch, text, minpoly,
@@ -205,7 +205,7 @@ def test_omega_for_fermat_cubic_satisfies_euler_identity():
     op = multiplication_operator(ma)
     theta = theta_polynomial(op)
     omega = omega_from_theta(g, ma, theta)
-    assert wedge(exterior_derivative(g), omega).coeff == g
+    assert wedge(exterior_derivative(g), omega) == g
     # the Euler form itself; our cofactors reproduce it exactly
     assert omega == OneForm(_p("-1/3*y"), _p("1/3*x"))
 
@@ -304,6 +304,21 @@ def test_saito_requires_tangency():
         saito_check([_form("1", "0"), _form("0", "1")], f)
 
 
+@pytest.mark.parametrize("text, pair", [
+    ("x^2", (("x", "0"), ("0", "x"))),          # misses the tangent dx
+    ("x^2", (("1", "0"), ("0", "x"))),          # generates
+    ("y^2*(x-1)", (("0", "x-1"), ("y", "0"))),  # its minimal pair
+])
+def test_saito_refuses_a_curve_that_is_not_reduced(text, pair):
+    # the wedge test is Saito's criterion only for a reduced f; on x^2 it
+    # would call the first pair free and the second not
+    f = _p(text)
+    forms = [_form(*w) for w in pair]
+    assert all(is_tangent(f, w) for w in forms)
+    with pytest.raises(InvalidInput, match="reduced"):
+        saito_check(forms, f)
+
+
 def test_saito_nonconstant_quotient_is_not_free():
     g = _p("x^3+y^3")
     dg, eta = quasihomogeneous_pair(g, Weights(1, 1))
@@ -345,19 +360,19 @@ def test_quasihomogeneous_pairs():
     g = _p("x^3+y^3")
     dg, eta = quasihomogeneous_pair(g, Weights(1, 1))
     assert eta == OneForm(_p("-1/3*y"), _p("1/3*x"))
-    assert wedge(dg, eta).coeff == g
+    assert wedge(dg, eta) == g
 
     g = _p("x^2+y^3")
     dg, eta = quasihomogeneous_pair(g, Weights(3, 2))
     # Euler identity oracle: alpha1*x*g_x + alpha2*y*g_y = d*g
     x, y = Polynomial.variable("x"), Polynomial.variable("y")
     assert 3 * (x * g.diff("x")) + 2 * (y * g.diff("y")) == 6 * g
-    assert wedge(dg, eta).coeff == g
+    assert wedge(dg, eta) == g
 
     g = _p("x*y")
     dg, eta = quasihomogeneous_pair(g, Weights(1, 1))
     assert eta == OneForm(_p("-1/2*y"), _p("1/2*x"))
-    assert wedge(dg, eta).coeff == g
+    assert wedge(dg, eta) == g
 
 
 def test_quasihomogeneous_pair_rejects_inhomogeneous():

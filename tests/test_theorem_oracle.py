@@ -14,6 +14,11 @@ I = <f, f_x, f_y, theta, P_w, Q_w> is (1) by the minimal polynomial, and
 at e >= 2 the augmented run gives the relations.  Every singular report
 here also gets the run analyze no longer makes: <f, f_x, f_y, theta> is
 (1) at e = 1, and I is not (1) at e >= 2.
+
+analyze reads its Saito constants without the public check, whose
+hypotheses (both forms tangent, f reduced) its forms meet by construction.
+Every report here gets that check too: a minimal pair is free with the
+report's constant, and a quasi-homogeneous pair (dg, eta) has constant 1.
 """
 
 import glob
@@ -24,7 +29,8 @@ import sys
 
 import pytest
 
-from curveforms import QQ, analysis, analyze, buchberger, corpus, parse_polynomial
+from curveforms import (QQ, OneForm, Weights, analysis, analyze, buchberger,
+                        corpus, parse_polynomial, tangent)
 from curveforms.poly import field_from_minpoly
 from record_golden import GOLDEN_DIR
 
@@ -41,14 +47,20 @@ def _workloads():
     return module
 
 
+def _parsed_f(doc):
+    """The report's f over the report's field."""
+    spec = doc["input"]["field"]
+    field = (field_from_minpoly(spec["minpoly"], spec["generator"])
+             if spec["kind"] == "extension" else QQ)
+    return parse_polynomial(doc["input"]["f"], field)
+
+
 def assert_unit_certificate(doc):
     """At e = 1, <f, f_x, f_y, theta> is (1); at e >= 2,
     <f, f_x, f_y, theta, P_w, Q_w> is not.  The polynomials are parsed
     back from the report document."""
-    spec = doc["input"]["field"]
-    field = (field_from_minpoly(spec["minpoly"], spec["generator"])
-             if spec["kind"] == "extension" else QQ)
-    f = parse_polynomial(doc["input"]["f"], field)
+    f = _parsed_f(doc)
+    field = f.field
     gens = [f, f.diff("x"), f.diff("y"), parse_polynomial(doc["theta"], field)]
     if doc["exponent"] >= 2:
         gens += [parse_polynomial(doc["omega"][c], field) for c in "PQ"]
@@ -72,16 +84,39 @@ def assert_theorem(doc):
     return True
 
 
+def assert_saito(doc):
+    """The public saito_check, on forms parsed back from the report, agrees
+    with the report's Saito verdicts; returns whether it ran."""
+    f, ran = _parsed_f(doc), False
+    minimal = doc["generators"]["minimal"]
+    if len(minimal) == 2:
+        pair = [OneForm(*(parse_polynomial(w[c], f.field) for c in "PQ"))
+                for w in minimal]
+        result = tangent.saito_check(pair, f)
+        assert result.free and doc["saito"]["free"], doc["input"]
+        assert f.field.format_scalar(result.constant) == doc["saito"]["constant"]
+        ran = True
+    if "quasi_homogeneous" in doc:
+        pair = tangent.quasihomogeneous_pair(f, Weights(*doc["input"]["weights"]))
+        assert tangent.saito_check(pair, f).constant == f.field.one
+        assert doc["quasi_homogeneous"]["saito_constant"] == "1"
+        ran = True
+    return ran
+
+
 def test_golden_reports_obey_the_theorem():
     paths = [p for p in glob.glob(os.path.join(GOLDEN_DIR, "*.json"))
              if not p.endswith("corpus_checks.json")]
-    checked = 0
+    checked = saito = 0
     for path in paths:
         with open(path, encoding="utf-8") as fh:
-            checked += assert_theorem(json.load(fh))
+            doc = json.load(fh)
+        checked += assert_theorem(doc)
+        saito += assert_saito(doc)
     # five inputs (Lissajous, deltoid, rose, Riccati and the Q(i) cusp) are
-    # not tame and stop before the Milnor stage
-    assert (len(paths), checked) == (26, 21)
+    # not tame and stop before the Milnor stage; nine reports have a
+    # minimal pair or a quasi-homogeneous block
+    assert (len(paths), checked, saito) == (26, 21, 9)
 
 
 def test_corpus_reports_obey_the_theorem(monkeypatch):
@@ -94,15 +129,38 @@ def test_corpus_reports_obey_the_theorem(monkeypatch):
     corpus.run_corpus()
     assert reports
     assert all(assert_theorem(rep.to_dict()) for rep in reports)
+    assert sum(assert_saito(rep.to_dict()) for rep in reports) == 4
 
 
 @pytest.mark.parametrize("seed", [1, 5, 17])
 def test_small_batch_reports_obey_the_theorem(seed):
-    singular = 0
+    singular = saito = 0
     for case in _workloads().small_batch(seed):
         field = field_from_minpoly(case.minpoly) if case.minpoly else QQ
-        rep = analyze(parse_polynomial(case.text, field),
-                      allow_untame=case.allow_untame)
-        assert assert_theorem(rep.to_dict())
-        singular += rep.exponent >= 1
+        doc = analyze(parse_polynomial(case.text, field),
+                      allow_untame=case.allow_untame).to_dict()
+        assert assert_theorem(doc)
+        singular += doc["exponent"] >= 1
+        saito += assert_saito(doc)
     assert singular  # the batch reaches the kernel condition
+    assert saito  # and has minimal pairs
+
+
+@pytest.mark.parametrize("text, allow_untame", [
+    ("(x^3-1)*(y^3-1)*(x^3-y^3)", True), ("x^3+y^3", False),
+    ("x*y", False), ("x*y-1", False)])
+def test_analyze_reads_its_saito_verdicts_without_the_checks(
+        monkeypatch, text, allow_untame):
+    # the minimal pair is tangent by its relation rows and f is reduced as
+    # mu < oo; the quasi-homogeneous pair satisfies Euler's identity
+    calls = []
+    for name in ("is_tangent", "saito_check"):
+        original = getattr(tangent, name)
+
+        def recording(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(tangent, name, recording)
+    rep = analyze(parse_polynomial(text), allow_untame=allow_untame)
+    assert rep.saito is not None and rep.saito["free"]
+    assert calls == []
