@@ -233,13 +233,13 @@ def analyze(f: Polynomial, weights: Weights = Weights(1, 1), *,
     timings["forms"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # the candidate's lifts generate every relation when I = <f, f_x, f_y>
-    # (with omega also theta, P_w, Q_w) is (1): at e = 0 tau = 0 proves it,
-    # and at e = 1, p = t*r with r = r(0) + t*s, so theta = r(f) mod
-    # <f_x, f_y> and the constant r(0) = theta - (theta - r(f)) - f*s(f)
-    # lies in I; at e >= 2 the augmented run gives the relations
+    # at e <= 1, I = <f, f_x, f_y> (with omega also theta, P_w, Q_w) is (1):
+    # tau = 0 at e = 0, and at e = 1, p = t*r with r = r(0) + t*s, theta =
+    # r(f) mod <f_x, f_y> and r(0) = theta - (theta - r(f)) - f*s(f) lies in
+    # I; then one rank-2 run on the candidate's forms, which span the tangent
+    # module, gives the raw set (syzygy_generators), else the augmented run
     unit = report.exponent <= 1
-    raw = tangent.syzygy_generators(f, order, candidate, unit)
+    raw = tangent._raw_generators(f, order, candidate.forms if unit else None)
     report.syzygy_count = len(raw)
     gen = unit or tangent.verify_generation(candidate, raw)
     report.generation = {
@@ -253,7 +253,7 @@ def analyze(f: Polynomial, weights: Weights = Weights(1, 1), *,
     mini = tangent.minimal_generators(raw)
     report.minimal = mini.forms
     if len(mini) == 2:
-        # the relation rows prove both forms tangent and mu < oo makes f
+        # the raw set's check proves both forms tangent and mu < oo makes f
         # reduced, so Saito's criterion applies: a tangent w has c*f*w =
         # (w ^ w_inf)*w_0 + (w_0 ^ w)*w_inf, and f divides both wedges
         c = tangent._saito_constant(*mini.forms, f)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import analysis, milnor, tangent
-from .errors import UnknownFixture
+from .errors import NotTangent, UnknownFixture
 from .field import QQ, Rational
 from .groebner import membership, recombine, syzygies
 from .linalg import UniPoly
@@ -62,10 +62,15 @@ def _form(ptext, qtext, field=QQ):
     return OneForm(_pp(ptext, field), _pp(qtext, field))
 
 
-def _tangent_pair(rec, f, w0, winf):
-    """Records that both forms are tangent; the pair's freeness verdict."""
-    rec.check("pair_tangent", tangent.is_tangent(f, w0) and tangent.is_tangent(f, winf))
-    return tangent.saito_check([w0, winf], f)
+def _tangent_pair(rec, f, w0, winf, name="pair_tangent"):
+    """Records whether both forms are tangent, by saito_check's own test;
+    the pair's freeness verdict, not free when they are not tangent."""
+    try:
+        s, tangent_pair = tangent.saito_check([w0, winf], f), True
+    except NotTangent:
+        s, tangent_pair = tangent.SaitoResult(False, None), False
+    rec.check(name, tangent_pair)
+    return s
 
 
 def _mutual_generation(rec, name, left, right):
@@ -367,9 +372,7 @@ def run_graph(rec):
         if side_a is None or side_b is None:
             continue
         wa, wb = side_a[0], side_b[0]
-        rec.check(f"d{d}_pattern_tangent",
-                  tangent.is_tangent(f, wa) and tangent.is_tangent(f, wb))
-        s = tangent.saito_check([wa, wb], f)
+        s = _tangent_pair(rec, f, wa, wb, f"d{d}_pattern_tangent")
         rec.check(f"d{d}_pattern_free", s.free and bool(s.constant))
         _mutual_generation(rec, f"d{d}_pattern_vs_minimal",
                            rep.minimal, [wa, wb])

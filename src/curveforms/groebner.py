@@ -7,9 +7,9 @@ output rows with a surviving first block form a basis of the module (their
 tags expressing them in the inputs), while rows with a zero first block are
 exactly the syzygies.  membership reduces (v | 0) by the first kind of row
 once and reads the cofactors off the tags of the remainder.  A caller that
-knows generators of a relation module (the tangent module's lifted forms)
-takes their reduced basis from a plain run instead and checks each row on
-the engine vectors.
+knows generators of a module (the forms that span the tangent module) takes
+its reduced basis from a plain run instead, and annihilates checks each row
+on the engine vectors.
 
 Terms are packed: ModuleOrder.key codes a term (pos, i, j) as one int whose
 integer order is the module order, so a leading term is a plain max() and
@@ -412,18 +412,23 @@ class GroebnerBasis:
         return not self._reduce(v)[0]
 
     def annihilates(self, gens) -> bool:
-        """Is every generator (a_k) a relation, sum a_k * gens[k] == 0?  On engine
-        vectors: each term t of a_k subtracts t times coded gens[k] at position 0."""
+        """Is every generator (a_k) the projection of a relation among the
+        rank + 1 polynomials gens: does gens[-1] divide sum a_k * gens[k]?  On
+        engine vectors: each term t of a_k subtracts t times coded gens[k] at
+        position 0, and the sum reduces to zero against the coded gens[-1]."""
         key, coding = self.order.key, self.coding
         shifted = [{} for _ in range(self.rank)]
-        for t, c in coding.encode(_vec_core(ModuleVector(tuple(gens)), key))[0].items():
+        for t, c in coding.encode(_vec_core(ModuleVector(tuple(gens[:-1])), key))[0].items():
             pos, i, j = _unpack(t)
             shifted[pos][key((0, i, j)) - key((pos, 0, 0))] = c
+        # coded and normalized, as the engine divides by it
+        [(modulus, lt)] = GroebnerBasis([ModuleVector(gens[-1:])], self.order,
+                                        self.field, 1)._cores
         for core, _ in self._cores:
             acc = {}
             for t, c in core.items():
                 coding.subtract(acc, c, shifted[_unpack(t)[0]], None, t)
-            if acc:
+            if _normal_form_core(acc, [modulus], [lt], False, coding)[0]:
                 return False
         return True
 

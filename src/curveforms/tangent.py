@@ -3,15 +3,15 @@ invariant, i.e. all w = P dx + Q dy with df ^ w divisible by f.
 
 A form is tangent exactly when f_x*Q - f_y*P lies in <f>, so the module is
 the projection to (P, Q) of the relations among (-f_y, f_x, f), and its
-reduced basis is the projection of theirs (see minimal_generators).  On top
-of that raw construction sit: the kernel form built from a witness theta
-(f*theta = A*f_x + B*f_y gives -B dx + A dy), the relations from a
-candidate's lifts, generation verification by reduction to zero, greedy
+reduced basis is the projection of theirs, or one run on forms that span
+it (see syzygy_generators).  On top of that raw construction sit: the
+kernel form built from a witness theta (f*theta = A*f_x + B*f_y gives
+-B dx + A dy), generation verification by reduction to zero, greedy
 irredundant generating sets, and K. Saito's criterion for freeness.
 
 Each constructed form is certified once, by the identity that builds it:
-a raw form by its relation row, the kernel form by df ^ omega = theta*f, and
-f dx, f dy, df by df ^ f dx = -f_y*f, df ^ f dy = f_x*f, df ^ df = 0.
+a raw form by f dividing df ^ w, the kernel form by df ^ omega = theta*f,
+and f dx, f dy, df by df ^ f dx = -f_y*f, df ^ f dy = f_x*f, df ^ df = 0.
 is_tangent checks forms from outside these constructors by one untracked
 division by f; omega takes its cofactors from a membership certificate.
 saito_check proves a pair from outside tangent and f reduced, the
@@ -50,66 +50,60 @@ class GeneratorSet:
     kind: str  # trivial_smooth | four_generator | syzygy_raw | minimal
     forms: list
     f: Polynomial
-    theta: Optional[Polynomial] = None  # four_generator: df ^ omega = theta*f
     basis: Optional[GroebnerBasis] = dc_field(default=None, compare=False, repr=False)
 
     def __len__(self):
         return len(self.forms)
 
 
-def syzygy_generators(f: Polynomial, order=None, candidate=None,
-                      unit: Optional[bool] = None) -> GeneratorSet:
-    """Raw generating set of the tangent module: the (p, q) of the reduced
-    basis of the relations (p, q, c) among (-f_y, f_x, f).
+def syzygy_generators(f: Polynomial, order=None) -> GeneratorSet:
+    """Raw generating set of the tangent module T: its reduced basis under
+    ModuleOrder(order.base, 2).
 
-    The candidate (default: the trivial forms) lifts to relations in closed
-    form: f dx -> r_fdx = (f, 0, f_y), f dy -> r_fdy = (0, f, -f_x),
-    df -> r_df = (f_x, f_y, 0) and the omega of a four_generators set ->
-    r_w = (P_w, Q_w, -theta).  Let I = <f, f_x, f_y, theta, P_w, Q_w>
-    (<f, f_x, f_y> without omega).  For a relation s = (p, q, c) and
-    lam = (p*Q_w - q*P_w)/f:
+    Let M be the span of a candidate's forms: f dx, f dy, df and, for a
+    four_generators set, omega = P_w dx + Q_w dy with df ^ omega = theta*f.
+    Let I = <f, f_x, f_y, theta, P_w, Q_w> (<f, f_x, f_y> without omega).
+    A tangent w = p dx + q dy has c = (f_y*p - f_x*q)/f and
+    lam = (p*Q_w - q*P_w)/f, and
 
-        f*s     = p*r_fdx + q*r_fdy
-        f_x*s   = p*r_df - c*r_fdy        f_y*s = q*r_df + c*r_fdx
-        theta*s = lam*r_df - c*r_w
-        P_w*s   = p*r_w - lam*r_fdy       Q_w*s = q*r_w + lam*r_fdx
+        f*w     = p*f dx + q*f dy
+        f_x*w   = p*df - c*f dy        f_y*w = q*df + c*f dx
+        theta*w = lam*df - c*omega
+        P_w*w   = p*omega - lam*f dy   Q_w*w = q*omega + lam*f dx
 
     lam is a polynomial: omega needs a finite Milnor number, which forces f
     to be reduced (a square factor g^2 makes f_x and f_y vanish on g = 0),
     and two forms tangent to a reduced curve are parallel along it, so f
-    divides their wedge.  So I*Syz lies in the module of the lifts: when
-    I = (1) their reduced basis under ModuleOrder(order.base, 3), one plain
-    run, is the unique reduced basis of Syz, and the candidate generates;
-    else the augmented run of syzygies gives it.  Both routes return that
-    unique basis when I = (1), so a False ``unit`` costs time, never the
-    answer, and no route relies on the converse of K. Saito's criterion
-    ("Theory of logarithmic differential forms and logarithmic vector
-    fields", 1980; locally, I = (1) exactly when the candidate generates).
-    ``unit`` True is I = (1) as a caller has proven it: analyze proves it
-    from the exponent e of the minimal polynomial at e <= 1 and passes
-    False at e >= 2.  None decides it by a run that stops at its first
-    constant.
-    Each row is checked on engine vectors: q*f_x - p*f_y + c*f = 0.  The set
-    carries their projection to (p, q) as its basis and its forms."""
+    divides their wedge.  So I*T lies in M, and when I = (1), T = M: the
+    reduced basis of T is one rank-2 run on the forms, with no relation
+    column c.  Else it is the projection of the augmented run's relations
+    (p, q, c) among (-f_y, f_x, f).  A reduced basis is unique, so both
+    routes agree when I = (1), and none relies on the converse of K.
+    Saito's criterion ("Theory of logarithmic differential forms and
+    logarithmic vector fields", 1980; locally, I = (1) exactly when the
+    candidate generates).  This path decides I = (1) by a run that stops at
+    its first constant and takes the trivial forms; analyze proves it from
+    the exponent e of the minimal polynomial at e <= 1."""
     if f.is_constant():
         raise ZeroInput("need a non-constant polynomial")
-    fx, fy, zero = f.diff("x"), f.diff("y"), Polynomial.zero(f.field)
-    lifts, ideal = [(f, zero, fy), (zero, f, -fx), (fx, fy, zero)], [f, fx, fy]
-    if candidate is not None and candidate.theta is not None:
-        omega = candidate.forms[3]
-        lifts.append((omega.P, omega.Q, -candidate.theta))
-        ideal += lifts[3]
-    if unit is None:
-        unit = buchberger(ideal, order).leading_terms() == [(0, 0, 0)]
-    gens = [-fy, fx, f]
-    if unit:
-        rels = buchberger([ModuleVector(r) for r in lifts], order)
+    unit = buchberger([f, f.diff("x"), f.diff("y")], order).leading_terms() == [(0, 0, 0)]
+    return _raw_generators(f, order, trivial_forms(f) if unit else None)
+
+
+def _raw_generators(f: Polynomial, order, forms=None) -> GeneratorSet:
+    """The raw set: the reduced basis of <forms> when they span T, else the
+    augmented run's, projected: c*f = f_y*p - f_x*q gives wdeg c <
+    max(wdeg p, wdeg q), and the order compares weighted degree first, so a
+    relation (p, q, c) leads at p or q.  Each (p, q) is checked on engine
+    vectors: f divides f_x*q - f_y*p."""
+    gens = [-f.diff("y"), f.diff("x"), f]
+    if forms is not None:
+        gb = buchberger(forms, order)
     else:
-        rels = GroebnerBasis(syzygies(gens, order), ModuleOrder(order or TermOrder(), 3),
-                             f.field, 3)
-    if not rels.annihilates(gens):
+        gb = GroebnerBasis(syzygies(gens, order), ModuleOrder(order or TermOrder(), 3),
+                           f.field, 3).projected(2)
+    if not gb.annihilates(gens):
         raise InvariantViolation("relation does not certify tangency")
-    gb = rels.projected(2)
     return GeneratorSet("syzygy_raw", [OneForm(*v.components) for v in gb.generators], f, basis=gb)
 
 
@@ -144,7 +138,7 @@ def four_generators(f: Polynomial, ma: MilnorAlgebra,
                     theta: Polynomial) -> GeneratorSet:
     """f dx, f dy, df and the kernel form omega_from_theta builds from theta."""
     omega = omega_from_theta(f, ma, theta)
-    return GeneratorSet("four_generator", trivial_forms(f) + [omega], f, theta)
+    return GeneratorSet("four_generator", trivial_forms(f) + [omega], f)
 
 
 @dataclass
@@ -171,12 +165,9 @@ def verify_generation(candidate, reference) -> GenerationResult:
 
 def minimal_generators(gens: GeneratorSet) -> GeneratorSet:
     """Greedy pruning of the basis of a syzygy_generators set, the reduced
-    basis of the tangent module: from c*f = f_y*p - f_x*q, wdeg c <=
-    max(wdeg p - a2, wdeg q - a1) < max(wdeg p, wdeg q) under weights (a1, a2),
-    and the order compares weighted degree first, so a relation (p, q, c) has
-    its leading term at p or q and GroebnerBasis.projected applies.  Removal
-    goes from the largest candidate down, so low-degree generators survive;
-    nothing in the result lies in the span of the rest."""
+    basis of the tangent module.  Removal goes from the largest candidate
+    down, so low-degree generators survive; nothing in the result lies in
+    the span of the rest."""
     if gens.basis is None:
         raise InvalidInput("minimal generators prune the basis of a syzygy_generators set")
     keys = [(w.total_degree(), format_one_form(w)) for w in gens.forms]

@@ -1,17 +1,36 @@
-"""Reference generation and minimal stages on field scalars.
+"""Reference raw, generation and minimal stages on field scalars.
 
-The library decides generation on an untracked basis and prunes a basis on
-the engine's integer vectors.  These are the earlier bodies they replace:
-generation decided by cofactor-tracked normal forms, each success row
-checked by recombination, and greedy pruning by public Buchberger runs on
-decoded forms.  The tracked normal forms are the rational oracle's
+The library takes its raw set from one rank-2 run on forms that span the
+tangent module, decides generation on an untracked basis and prunes a basis
+on the engine's integer vectors.  These are the earlier bodies they
+replace: the raw basis from the candidate's forms lifted to relations
+(p, q, c) among (-f_y, f_x, f), each row checked exactly, then projected to
+(p, q); generation decided by cofactor-tracked normal forms, each success
+row checked by recombination; and greedy pruning by public Buchberger runs
+on decoded forms.  The tracked normal forms are the rational oracle's
 (tests/rational_oracle.py), since the engine tracks no cofactors outside
-membership; pruning uses only the public Groebner layer.
+membership; the rest uses only the public Groebner layer.
 """
 
-from curveforms import (GeneratorSet, OneForm, buchberger, format_one_form,
-                        recombine)
+from curveforms import (GeneratorSet, ModuleVector, OneForm, Polynomial,
+                        buchberger, format_one_form, recombine)
 import rational_oracle
+
+
+def lifted_raw_basis(f, order=None, omega=None, theta=None):
+    """The projection to (p, q) of the reduced basis of the lifts
+    f dx -> (f, 0, f_y), f dy -> (0, f, -f_x), df -> (f_x, f_y, 0) and,
+    given a kernel form with df ^ omega = theta*f, omega -> (P, Q, -theta).
+    It is the reduced basis of the tangent module when
+    <f, f_x, f_y> (with omega also theta, P, Q) is (1)."""
+    fx, fy, zero = f.diff("x"), f.diff("y"), Polynomial.zero(f.field)
+    lifts = [(f, zero, fy), (zero, f, -fx), (fx, fy, zero)]
+    if omega is not None:
+        lifts.append((omega.P, omega.Q, -theta))
+    rels = buchberger([ModuleVector(r) for r in lifts], order)
+    for row in rels.generators:
+        assert recombine(row.components, [-fy, fx, f]).is_zero()
+    return rels.projected(2)
 
 
 def _forms(gens):

@@ -198,12 +198,27 @@ def test_analyze_computes_tau_once(monkeypatch):
 def test_exponent_decides_the_unit_ideal_without_a_run(monkeypatch, text, minpoly,
                                                        allow_untame, runs):
     # at e <= 1 the minimal polynomial proves <f, f_x, f_y, theta> = (1), so
-    # the Milnor stage makes only its quotient runs and no decision run
+    # the Milnor stage makes only its quotient runs and no decision run, and
+    # the raw set is one rank-2 run on the candidate's forms: no syzygy run,
+    # no rank-3 run and no projection of a relation basis
     f = parse_polynomial(text, field_from_minpoly(minpoly) if minpoly else QQ)
     calls = recording_calls(monkeypatch, milnor, "_run_buchberger")
+    relation_runs = recording_calls(monkeypatch, tangent, "syzygies")
+    projections = recording_calls(monkeypatch, groebner.GroebnerBasis, "projected")
+    bases, original = [], tangent.buchberger
+
+    def recording(*args):
+        bases.append(original(*args))
+        return bases[-1]
+    monkeypatch.setattr(tangent, "buchberger", recording)
     rep = analyze(f, allow_untame=allow_untame)
     assert calls == {"_run_buchberger": runs}
     assert rep.generation["generates"] is (rep.exponent <= 1)
+    relation_route = int(rep.exponent > 1)
+    assert relation_runs == {"syzygies": relation_route}
+    assert projections == {"projected": relation_route}
+    # the rank-2 run on the forms, or verify_generation's run at e >= 2
+    assert [gb.rank for gb in bases] == [2]
 
 
 def test_analyze_checks_tameness_once(monkeypatch):
@@ -242,12 +257,13 @@ def test_analyze_tracks_and_decodes_only_what_it_reads(monkeypatch, text,
                                                        on_f_runs):
     # the Jacobian basis is untracked and only omega's membership certificate
     # carries cofactors, in the tags of its augmented run, with no buchberger
-    # call of its own; the relations come from the candidate's lifts, and
-    # generation is decided by a run only when the candidate falls back to
-    # the augmented run; the minimal stage prunes the raw set's basis, the
-    # projection of the relation basis, without a run of its own, and the
-    # reported forms are decoded from that projection, so no basis that
-    # buchberger returns is decoded to field scalars
+    # call of its own; at e <= 1 the raw set is one run on the candidate's
+    # forms, and generation is decided by a run only at e >= 2, where the
+    # raw set is the projection of the augmented run's relations; the
+    # minimal stage prunes the raw set's basis without a run of its own, and
+    # the reported forms are decoded from it, so the only basis that
+    # buchberger returns and that is decoded to field scalars is the raw
+    # set's at e <= 1
     fld = field_from_minpoly(minpoly) if minpoly else QQ
     f = parse_polynomial(text, fld)
     coding, order = groebner._coding(fld), groebner.ModuleOrder(TermOrder())
@@ -260,7 +276,7 @@ def test_analyze_tracks_and_decodes_only_what_it_reads(monkeypatch, text,
     on_f = {lines(groebner._seeds([ModuleVector((p,)) for p in (f, f.diff("x"), f.diff("y"))],
                                   coding, order)),
             lines([c for c, _ in ma.gb._cores] + [ma.gb._reduce(f)[0]])}
-    runs, bases, verifications, rank_one, pruning = [], [], [], [], []
+    runs, bases, verifications, rank_one, pruning, raws = [], [], [], [], [], []
     original_run, original_buchberger = groebner._augmented_run, groebner.buchberger
     original_verify, original_plain = tangent.verify_generation, groebner._run_buchberger
     original_minimal = tangent.minimal_generators
@@ -277,9 +293,10 @@ def test_analyze_tracks_and_decodes_only_what_it_reads(monkeypatch, text,
         verifications.append(args)
         return original_verify(*args)
 
-    def recording_minimal(*args):
+    def recording_minimal(raw):
         before = len(bases)
-        pruning.append(original_minimal(*args))
+        raws.append(raw)
+        pruning.append(original_minimal(raw))
         assert len(bases) == before
         return pruning[-1]
 
@@ -302,5 +319,6 @@ def test_analyze_tracks_and_decodes_only_what_it_reads(monkeypatch, text,
     # only at a positive exponent: at exponent 0 op is invertible, so tau = 0
     assert sum(seeds in on_f for seeds in rank_one) == on_f_runs
     assert len(bases) == built and len(pruning) == 1
-    assert not [gb for gb in bases if "generators" in vars(gb)]
+    decoded = [gb for gb in bases if "generators" in vars(gb)]
+    assert decoded == ([raws[0].basis] if rep.exponent <= 1 else [])
     assert rep.minimal == pruning[0].forms

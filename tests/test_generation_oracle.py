@@ -1,34 +1,35 @@
-"""The generation and minimal stages against their references
+"""The raw, generation and minimal stages against their references
 (tests/generation_oracle.py).
 
 The library decides generation on an untracked basis and prunes on the
 engine's vectors; the references track cofactors and prune on decoded
 forms.  Verdicts, witnesses and minimal forms must be equal on every corpus
-curve with a finite Jacobian quotient and on drawn tame curves over Q and
-Q(i), including the curves where the four forms do not generate.
+curve with a finite Jacobian quotient and on drawn tame curves over Q, Q(i)
+and a cubic field, including the curves where the four forms do not
+generate.
 
-The raw set carries the projection of its relation basis to (p, q), which
-must be the reduced basis a run on its forms builds.  analyze takes its raw
-set from the lifts of its candidate when it proves that they generate, and
-falls back to the augmented run and a generation run exactly when the
-reference says the candidate does not generate; the raw set is the
-augmented run's, and the verdict the reference's, on these curves and on
-the golden inputs.
+The raw set carries the reduced basis of its forms.  analyze takes it from
+one rank-2 run on its candidate's forms at e <= 1, where they span the
+tangent module, and from the augmented run otherwise, followed by a
+generation run exactly when the reference says the candidate does not
+generate.  Its basis must equal the projected basis of the augmented run
+and, at e <= 1, the projected basis of the candidate's lifted relations,
+the route it replaced, on these curves and on the golden inputs.
 """
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from curveforms import (QQ, OneForm, Polynomial, TermOrder, Weights, analyze,
-                        buchberger, format_polynomial, minimal_generators,
-                        parse_polynomial, syzygy_generators, tangent,
-                        verify_generation)
+from curveforms import (QQ, GroebnerBasis, ModuleOrder, OneForm, Polynomial,
+                        TermOrder, Weights, analyze, buchberger,
+                        format_polynomial, minimal_generators, parse_polynomial,
+                        syzygy_generators, tangent, verify_generation)
 from curveforms.poly import field_from_minpoly
 import generation_oracle as oracle
 from conftest import tame_curves, through_origin
 from record_golden import CASES
-from test_kernel_oracle import augmented_syzygies
+from test_kernel_oracle import CUBIC, augmented_syzygies
 from test_milnor_oracle import CORPUS_CURVES
 
 GAUSSIAN = field_from_minpoly("z^2+1")
@@ -40,7 +41,7 @@ def assert_matches_oracle(f, weights=(1, 1), allow_untame=True):
     order = TermOrder(Weights(*weights))
     verified, fallbacks, raws = [], [], []
     original_verify, original_syzygies = tangent.verify_generation, tangent.syzygies
-    original_raw = tangent.syzygy_generators
+    original_minimal = tangent.minimal_generators
 
     def recording(candidate, reference):
         verified.append(candidate)
@@ -50,13 +51,13 @@ def assert_matches_oracle(f, weights=(1, 1), allow_untame=True):
         fallbacks.append(args)
         return original_syzygies(*args)
 
-    def recording_raw(*args):
-        raws.append(original_raw(*args))
-        return raws[-1]
+    def recording_minimal(raw):
+        raws.append(raw)
+        return original_minimal(raw)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tangent, "verify_generation", recording)
         mp.setattr(tangent, "syzygies", recording_syzygies)
-        mp.setattr(tangent, "syzygy_generators", recording_raw)
+        mp.setattr(tangent, "minimal_generators", recording_minimal)
         rep = analyze(f, Weights(*weights), allow_untame=allow_untame)
     if rep.generation is None:
         assert not rep.tame and not verified and not raws
@@ -68,11 +69,17 @@ def assert_matches_oracle(f, weights=(1, 1), allow_untame=True):
     rows = augmented_syzygies([-fy, fx, f], order)
     raw = syzygy_generators(f, order)
     assert raws[0].forms == raw.forms == [OneForm(*r.components[:2]) for r in rows]
-    # the projected relation basis is the reduced basis of the raw forms
-    reference = buchberger(raw.forms, order)
+    # each raw set carries the reduced basis of its forms, which is the
+    # projected basis of the augmented run and, where the candidate's forms
+    # span the module, of their lifted relations
+    references = [buchberger(raw.forms, order),
+                  GroebnerBasis(rows, ModuleOrder(order, 3), f.field, 3).projected(2)]
+    if rep.exponent <= 1:
+        references.append(oracle.lifted_raw_basis(f, order, rep.omega, rep.theta))
     for basis in (raws[0].basis, raw.basis):
-        assert basis.generators == reference.generators
-        assert basis.leading_terms() == reference.leading_terms()
+        for reference in references:
+            assert basis.generators == reference.generators
+            assert basis.leading_terms() == reference.leading_terms()
     mini = minimal_generators(raw)
     assert mini.forms == oracle.minimal_generators(raw, order).forms
     for cand, ref in [(candidate, raw), (raw, candidate), (mini, raw)]:
@@ -104,15 +111,19 @@ def test_golden_input_matches_oracle(name):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from([QQ, GAUSSIAN])
+@given(st.sampled_from([QQ, GAUSSIAN, CUBIC])
        .flatmap(tame_curves)
-       .flatmap(lambda f: st.sampled_from([f, through_origin(f)])))
-@example(parse_polynomial("x*y-1"))
-@example(parse_polynomial("x^5+y^5-x^2*y^2"))
-def test_drawn_curves_match_oracle(f):
+       .flatmap(lambda f: st.sampled_from([f, through_origin(f)])),
+       st.sampled_from([(1, 1), (2, 3), (3, 2)]))
+@example(parse_polynomial("x*y-1"), (1, 1))
+@example(parse_polynomial("x^5+y^5-x^2*y^2"), (1, 1))
+@example(Polynomial.variable("y", CUBIC) * CUBIC.scalar([0, 1, 0])
+         + Polynomial.constant(1, CUBIC), (2, 3))
+def test_drawn_curves_match_oracle(f, weights):
     # smooth and singular: a drawn curve keeps or loses its constant and
-    # linear terms
-    assert_matches_oracle(f)
+    # linear terms; w*y + 1 over the cubic field has a leading coefficient
+    # w that the engine must normalize before it divides by f
+    assert_matches_oracle(f, weights)
 
 
 @settings(max_examples=8, deadline=None)

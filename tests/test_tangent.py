@@ -4,7 +4,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
-from curveforms import (GeneratorSet, InvalidInput, InvariantViolation,
+from curveforms import (GroebnerBasis, InvalidInput, InvariantViolation,
                         Membership, ModuleVector, NotHomogeneous,
                         NotInJacobian, NotSmooth, NotTangent, OneForm,
                         Polynomial, QQ, TermOrder, Weights, analyze,
@@ -83,12 +83,12 @@ def _corrupt_first_row(rows):
 
 @pytest.mark.parametrize("n", [5, 7, 8])
 def test_decision_run_takes_the_route_of_a_proven_unit_ideal(n):
-    # the run that decides <f, f_x, f_y> = (1) stops at its first constant
-    # and still chooses the relations from the lifts of the trivial forms
+    # the run that decides <f, f_x, f_y> = (1) stops at its first constant,
+    # and the raw set is then the reduced basis of the trivial forms
     f = _p(f"x^{n}+y^{n}-x^2*y^2+3*x^3*y-1")
-    decided, given = syzygy_generators(f), syzygy_generators(f, unit=True)
-    assert decided.forms == given.forms
-    assert decided.basis._cores == given.basis._cores
+    decided, spanned = syzygy_generators(f), buchberger(trivial_forms(f))
+    assert decided.forms == [OneForm(*v.components) for v in spanned.generators]
+    assert decided.basis._cores == spanned._cores
 
 
 def test_corrupted_relation_is_an_invariant_violation(monkeypatch, capsys):
@@ -102,34 +102,37 @@ def test_corrupted_relation_is_an_invariant_violation(monkeypatch, capsys):
     assert "relation does not certify tangency" in capsys.readouterr().err
 
 
-def _corrupt(candidate, part):
-    """The candidate with f added to theta, P_w or Q_w: the ideal
-    <f, f_x, f_y, theta, P_w, Q_w> stays the same, so the route is still
-    taken, but the lift of omega is no relation."""
-    f, omega, theta = candidate.f, candidate.forms[3], candidate.theta
-    if part == "theta":
-        theta = theta + f
-    else:
-        omega = (OneForm(omega.P + f, omega.Q) if part == "P"
-                 else OneForm(omega.P, omega.Q + f))
-    return GeneratorSet("four_generator", candidate.forms[:3] + [omega], f, theta)
+def _corrupt_first_form(gb):
+    """The basis with its first form (p, q) replaced by (p + 1, q), which is
+    not tangent unless f divides f_y."""
+    if gb.rank != 2:
+        return gb
+    (p, q), rest = gb.generators[0].components, gb.generators[1:]
+    one = Polynomial.constant(1, p.field)
+    return GroebnerBasis([ModuleVector((p + one, q))] + rest, gb.order, gb.field, 2)
 
 
-@pytest.mark.parametrize("part", ["theta", "P", "Q"])
-def test_corrupted_kernel_lift_is_an_invariant_violation(monkeypatch, capsys, part):
-    text = "x^4+2*y^4+x^2-x*y^2+2*x*y-3*y^3"
-    f = _p(text)
-    ma = milnor_algebra(f)
-    candidate = four_generators(f, ma, theta_polynomial(multiplication_operator(ma)))
-    assert len(syzygy_generators(f, None, candidate)) == len(syzygy_generators(f))
-    for unit in (None, True):
-        with pytest.raises(InvariantViolation):
-            syzygy_generators(f, None, _corrupt(candidate, part), unit)
-    original = tangent.four_generators
-    monkeypatch.setattr(tangent, "four_generators",
-                        lambda *args: _corrupt(original(*args), part))
+@pytest.mark.parametrize("text, minpoly", [
+    ("x*y-1", None),                                   # e = 0
+    ("x^4+2*y^4+x^2-x*y^2+2*x*y-3*y^3", "z^2+1"),      # e = 1
+    (ACAMPO, None)],                                   # e = 2
+    ids=["hyperbola", "quartic_qi", "acampo"])
+def test_corrupted_raw_form_is_an_invariant_violation(monkeypatch, capsys, text,
+                                                      minpoly):
+    # the rank-2 run on the candidate's forms and the projection of the
+    # augmented run are certified by one check: f divides the wedge of each
+    # form with df
+    original_run, original_projected = tangent.buchberger, GroebnerBasis.projected
+    monkeypatch.setattr(tangent, "buchberger",
+                        lambda *args: _corrupt_first_form(original_run(*args)))
+    monkeypatch.setattr(GroebnerBasis, "projected",
+                        lambda *args: _corrupt_first_form(original_projected(*args)))
+    field = field_from_minpoly(minpoly) if minpoly else QQ
+    with pytest.raises(InvariantViolation):
+        syzygy_generators(parse_polynomial(text, field))
     # an engine fault, not bad input: exit 3
-    assert cli.main(["analyze", "-f", text]) == 3
+    args = ["analyze", "-f", text] + (["--minpoly", minpoly] if minpoly else [])
+    assert cli.main(args) == 3
     assert "relation does not certify tangency" in capsys.readouterr().err
 
 
@@ -342,10 +345,10 @@ def test_smooth_generators_reject_singular_curves():
 
 def test_hyperbola_minimal_from_trivial():
     # the oracle prunes the basis of any set; the library prunes the
-    # relation basis that the smooth set lifts to
+    # reduced basis of the smooth set, which spans the tangent module
     f = _p("x*y-1")
     gens = smooth_generators(f, 0)
-    mini = minimal_generators(syzygy_generators(f, None, gens))
+    mini = minimal_generators(syzygy_generators(f))
     assert mini.forms == oracle.minimal_generators(gens).forms
     assert len(mini) == 2
 
