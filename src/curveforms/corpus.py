@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import analysis, milnor, tangent
 from .errors import NotTangent, UnknownFixture
@@ -336,17 +335,10 @@ def _xdeg(p: Polynomial):
 
 def _graph_side(fx, caps):
     """Deterministic representative with the exact cap degrees, if any."""
-    sols = shaped_tangent_forms(fx, caps)
-    for sol in sols:
+    for sol in shaped_tangent_forms(fx, caps):
         _, a1, a2, a3 = sol
         if (_xdeg(a1), _xdeg(a2), _xdeg(a3)) == caps:
             return sol
-    # try pairwise sums for the side that contains the smaller shape too
-    for si, sj in combinations(sols, 2):
-        a1, a2, a3 = (si[k] + sj[k] for k in (1, 2, 3))
-        if (_xdeg(a1), _xdeg(a2), _xdeg(a3)) == caps:
-            y = Polynomial.variable("y")
-            return OneForm(y * a1 + a2, a3), a1, a2, a3
     return None
 
 

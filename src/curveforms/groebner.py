@@ -5,7 +5,9 @@ an augmented run: each generator g_k is extended with a unit tag e_k and the
 basis is computed under an order that eliminates the original block, so
 output rows with a surviving first block form a basis of the module (their
 tags expressing them in the inputs), while rows with a zero first block are
-exactly the syzygies.  membership reduces (v | 0) by the first kind of row
+exactly the syzygies.  A run that tags only the first generators reads the
+relations among them modulo the rest the same way, which is how the tangent
+module is computed.  membership reduces (v | 0) by the first kind of row
 once and reads the cofactors off the tags of the remainder.  A caller that
 knows generators of a module (the forms that span the tangent module) takes
 its reduced basis from a plain run instead, and annihilates checks each row
@@ -40,7 +42,7 @@ from operator import sub
 from types import SimpleNamespace
 from typing import Optional
 
-from .errors import InvalidInput, InvariantViolation, RankMismatch
+from .errors import InvalidInput, RankMismatch
 from .field import ExtElement, Rational, check_same_field
 from .poly import ModuleVector, Polynomial, TermOrder
 
@@ -65,9 +67,6 @@ class ModuleOrder:
             raise InvalidInput(f"term {term} is outside the packed term range")
         return ((_ELIM if pos < self.elim else 0) | deg << _S_DEG
                 | (_MASK - j) << _S_J | (_PMASK - pos) << _S_POS | i)
-
-    def restricted(self, rank: int) -> "ModuleOrder":
-        return ModuleOrder(self.base, rank, 0)
 
     def __repr__(self):
         return f"ModuleOrder({self.base!r}, rank={self.rank}, elim={self.elim})"
@@ -412,8 +411,8 @@ class GroebnerBasis:
         return not self._reduce(v)[0]
 
     def annihilates(self, gens) -> bool:
-        """Is every generator (a_k) the projection of a relation among the
-        rank + 1 polynomials gens: does gens[-1] divide sum a_k * gens[k]?  On
+        """Is every generator (a_k) a relation among the first rank polynomials
+        of gens modulo the last: does gens[-1] divide sum a_k * gens[k]?  On
         engine vectors: each term t of a_k subtracts t times coded gens[k] at
         position 0, and the sum reduces to zero against the coded gens[-1]."""
         key, coding = self.order.key, self.coding
@@ -431,20 +430,6 @@ class GroebnerBasis:
             if _normal_form_core(acc, [modulus], [lt], False, coding)[0]:
                 return False
         return True
-
-    def projected(self, rank: int) -> "GroebnerBasis":
-        """The first ``rank`` positions, under order.restricted(rank), of a basis
-        without an elimination block whose leading terms all lie there.  A
-        standard representation puts every element's leading term at a basis
-        leading term, so the projection is injective and keeps leading terms,
-        and the projected generators, which lose only tail terms, are reduced."""
-        coding, cores, low = self.coding, [], _PMASK - rank  # pos packs as _PMASK - pos
-        for core, t in self._cores:
-            if t >> _S_POS & _PMASK <= low:
-                raise InvariantViolation(f"leading term {_unpack(t)} beyond rank {rank}")
-            v = coding.normalized({s: c for s, c in core.items() if s >> _S_POS & _PMASK > low}, t)
-            cores.append((v, t))
-        return GroebnerBasis(None, self.order.restricted(rank), self.field, rank, cores)
 
     def irredundant(self, candidates) -> set:
         """Indices of the generators kept by greedy pruning: each candidate in
@@ -493,31 +478,46 @@ def buchberger(gens, order=None) -> GroebnerBasis:
     return GroebnerBasis(None, order, field, rank, _run_buchberger(seeds, order, coding))
 
 
-def _augmented_run(vecs, rank, field, order):
+def _augmented_run(vecs, rank, field, order, tagged=None):
     """Reduced basis rows (vector, leading code) of the vectors (vecs[k] | e_k)
-    under the order on rank + len(vecs) positions that eliminates the first
-    rank, each block ordered by order.base.  Every row (g | a) has
-    g == sum a_k * vecs[k].  The rows whose leading code carries _ELIM are
-    those with g != 0, and their g form a basis of <vecs>; the a of the
-    others span all relations among vecs."""
-    aug_order = ModuleOrder(order.base, rank + len(vecs), elim=rank)
+    for the first ``tagged`` vecs (all by default) and (vecs[k] | 0) for the
+    rest, under the order on rank + tagged positions that eliminates the
+    first rank, each block ordered by order.base.  Every row (g | a) has
+    g == sum a_k * vecs[k] plus an element of <vecs[tagged:]>.  The rows
+    whose leading code carries _ELIM are those with g != 0, and their g form
+    a basis of <vecs>; the a of the others span the relations among
+    vecs[:tagged] modulo <vecs[tagged:]>."""
+    tagged = len(vecs) if tagged is None else tagged
+    aug_order = ModuleOrder(order.base, rank + tagged, elim=rank)
     coding = _coding(field)
     seeds = []
     for k, v in enumerate(vecs):
         core = _vec_core(v, aug_order.key)
-        core[aug_order.key((rank + k, 0, 0))] = field.one
+        if k < tagged:
+            core[aug_order.key((rank + k, 0, 0))] = field.one
         seeds.append(coding.encode(core)[0])
     return _run_buchberger(seeds, aug_order, coding)
 
 
+def _relations(gens, order=None, tagged=None) -> GroebnerBasis:
+    """Reduced basis, under ModuleOrder(order.base, tagged), of the relations
+    (a_k) with sum a_k * gens_k in <gens[tagged:]>: the tag blocks of the
+    augmented run's rows with a zero first block.  The run orders its tag
+    block like that order, positions shifted by the rank of gens, so moving
+    a row adds rank << _S_POS to every code."""
+    vecs, rank, field, order = _prepare(gens, order)
+    tagged = len(vecs) if tagged is None else tagged
+    shift = rank << _S_POS
+    cores = [({s + shift: c for s, c in core.items()}, t + shift)
+             for core, t in _augmented_run(vecs, rank, field, order, tagged)
+             if not t & _ELIM]
+    return GroebnerBasis(None, ModuleOrder(order.base, tagged), field, tagged, cores)
+
+
 def syzygies(gens, order=None):
     """Generators of the relation module {(a_i) : sum a_i * gens_i = 0}: its
-    reduced Groebner basis under ModuleOrder(order.base, len(gens)), read off
-    the augmented run, which orders its tag positions like that order."""
-    vecs, rank, field, order = _prepare(gens, order)
-    coding = _coding(field)
-    return [_core_vec(_public(core, t, coding), len(vecs), field, start=rank)
-            for core, t in _augmented_run(vecs, rank, field, order) if not t & _ELIM]
+    reduced Groebner basis under ModuleOrder(order.base, len(gens))."""
+    return _relations(gens, order).generators
 
 
 def membership(v, gens, order=None) -> Membership:
@@ -527,8 +527,8 @@ def membership(v, gens, order=None) -> Membership:
     flagged leading code leaves (r | -a) with mult * v == r + sum a_i * gens_i.
     The terms of the first block carry the flag, so they lead while any
     remain and every step picks the divisor that the division by the basis
-    of first blocks under order.restricted would: r / mult is the normal
-    form of v, and a / mult its cofactors on the inputs."""
+    of first blocks under ModuleOrder(order.base, rank) would: r / mult is
+    the normal form of v, and a / mult its cofactors on the inputs."""
     vecs, rank, field, order = _prepare(gens, order)
     v = ModuleVector.wrap(v)
     if v.rank != rank:

@@ -2,9 +2,9 @@
 invariant, i.e. all w = P dx + Q dy with df ^ w divisible by f.
 
 A form is tangent exactly when f_x*Q - f_y*P lies in <f>, so the module is
-the projection to (P, Q) of the relations among (-f_y, f_x, f), and its
-reduced basis is the projection of theirs, or one run on forms that span
-it (see syzygy_generators).  On top of that raw construction sit: the
+the relations among (-f_y, f_x) modulo f, and its reduced basis is read off
+one augmented run that tags only -f_y and f_x, or one run on forms that
+span it (see syzygy_generators).  On top of that raw construction sit: the
 kernel form built from a witness theta (f*theta = A*f_x + B*f_y gives
 -B dx + A dy), generation verification by reduction to zero, greedy
 irredundant generating sets, and K. Saito's criterion for freeness.
@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .errors import (InvalidInput, InvariantViolation, NotHomogeneous,
                      NotInJacobian, NotSmooth, NotTangent, ZeroInput)
 from .field import Rational
-from .groebner import GroebnerBasis, ModuleOrder, buchberger, membership, syzygies
+from .groebner import GroebnerBasis, ModuleOrder, _relations, buchberger, membership
 from .milnor import MilnorAlgebra, jacobian, standard_monomials
 from .poly import (ModuleVector, OneForm, Polynomial, TermOrder, Weights,
                    exterior_derivative, format_one_form, wedge)
@@ -75,13 +75,12 @@ def syzygy_generators(f: Polynomial, order=None) -> GeneratorSet:
     to be reduced (a square factor g^2 makes f_x and f_y vanish on g = 0),
     and two forms tangent to a reduced curve are parallel along it, so f
     divides their wedge.  So I*T lies in M, and when I = (1), T = M: the
-    reduced basis of T is one rank-2 run on the forms, with no relation
-    column c.  Else it is the projection of the augmented run's relations
-    (p, q, c) among (-f_y, f_x, f).  A reduced basis is unique, so both
-    routes agree when I = (1), and none relies on the converse of K.
-    Saito's criterion ("Theory of logarithmic differential forms and
-    logarithmic vector fields", 1980; locally, I = (1) exactly when the
-    candidate generates).  This path decides I = (1) by a run that stops at
+    reduced basis of T is one rank-2 run on the forms.  Else it is read off
+    the augmented run of the relations among (-f_y, f_x) modulo f.  A
+    reduced basis is unique, so both routes agree when I = (1), and none
+    relies on the converse of K. Saito's criterion ("Theory of logarithmic
+    differential forms and logarithmic vector fields", 1980; locally,
+    I = (1) exactly when the candidate generates).  This path decides I = (1) by a run that stops at
     its first constant and takes the trivial forms; analyze proves it from
     the exponent e of the minimal polynomial at e <= 1."""
     if f.is_constant():
@@ -91,17 +90,12 @@ def syzygy_generators(f: Polynomial, order=None) -> GeneratorSet:
 
 
 def _raw_generators(f: Polynomial, order, forms=None) -> GeneratorSet:
-    """The raw set: the reduced basis of <forms> when they span T, else the
-    augmented run's, projected: c*f = f_y*p - f_x*q gives wdeg c <
-    max(wdeg p, wdeg q), and the order compares weighted degree first, so a
-    relation (p, q, c) leads at p or q.  Each (p, q) is checked on engine
-    vectors: f divides f_x*q - f_y*p."""
+    """The raw set: the reduced basis of <forms> when they span T, else that
+    of the relations among (-f_y, f_x) modulo f, from one augmented run
+    with two tags.  Each (p, q) is checked on engine vectors: f divides
+    f_x*q - f_y*p."""
     gens = [-f.diff("y"), f.diff("x"), f]
-    if forms is not None:
-        gb = buchberger(forms, order)
-    else:
-        gb = GroebnerBasis(syzygies(gens, order), ModuleOrder(order or TermOrder(), 3),
-                           f.field, 3).projected(2)
+    gb = buchberger(forms, order) if forms is not None else _relations(gens, order, 2)
     if not gb.annihilates(gens):
         raise InvariantViolation("relation does not certify tangency")
     return GeneratorSet("syzygy_raw", [OneForm(*v.components) for v in gb.generators], f, basis=gb)

@@ -5,16 +5,32 @@ tangent module, decides generation on an untracked basis and prunes a basis
 on the engine's integer vectors.  These are the earlier bodies they
 replace: the raw basis from the candidate's forms lifted to relations
 (p, q, c) among (-f_y, f_x, f), each row checked exactly, then projected to
-(p, q); generation decided by cofactor-tracked normal forms, each success
+(p, q) by ``projected``, built here from public generators since the
+library reads (p, q) directly as relations among (-f_y, f_x) modulo f;
+generation decided by cofactor-tracked normal forms, each success
 row checked by recombination; and greedy pruning by public Buchberger runs
 on decoded forms.  The tracked normal forms are the rational oracle's
 (tests/rational_oracle.py), since the engine tracks no cofactors outside
 membership; the rest uses only the public Groebner layer.
 """
 
-from curveforms import (GeneratorSet, ModuleVector, OneForm, Polynomial,
+from curveforms import (GeneratorSet, GroebnerBasis, InvariantViolation,
+                        ModuleOrder, ModuleVector, OneForm, Polynomial,
                         buchberger, format_one_form, recombine)
 import rational_oracle
+
+
+def projected(gb, rank):
+    """The first ``rank`` positions, under ModuleOrder(base, rank), of a basis
+    without an elimination block whose leading terms all lie there.  A
+    standard representation puts every element's leading term at a basis
+    leading term, so the projection is injective and keeps leading terms,
+    and the projected generators, which lose only tail terms, are reduced."""
+    for pos, i, j in gb.leading_terms():
+        if pos >= rank:
+            raise InvariantViolation(f"leading term {(pos, i, j)} beyond rank {rank}")
+    return GroebnerBasis([ModuleVector(g.components[:rank]) for g in gb.generators],
+                         ModuleOrder(gb.order.base, rank), gb.field, rank)
 
 
 def lifted_raw_basis(f, order=None, omega=None, theta=None):
@@ -30,7 +46,7 @@ def lifted_raw_basis(f, order=None, omega=None, theta=None):
     rels = buchberger([ModuleVector(r) for r in lifts], order)
     for row in rels.generators:
         assert recombine(row.components, [-fy, fx, f]).is_zero()
-    return rels.projected(2)
+    return projected(rels, 2)
 
 
 def _forms(gens):

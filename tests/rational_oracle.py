@@ -204,7 +204,7 @@ def buchberger(gens, order=None, track_cofactors=False):
         seeds = [_vec_core(v) for v in vecs if not v.is_zero()]
         return OracleBasis(run_buchberger(seeds, order), order, field, rank)
     rows, _ = _augmented(vecs, rank, field, order)
-    return OracleBasis([(c, lt) for c, lt, _ in rows], order.restricted(rank),
+    return OracleBasis([(c, lt) for c, lt, _ in rows], ModuleOrder(order.base, rank),
                        field, rank, [tags for _, _, tags in rows])
 
 

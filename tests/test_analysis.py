@@ -199,12 +199,11 @@ def test_exponent_decides_the_unit_ideal_without_a_run(monkeypatch, text, minpol
                                                        allow_untame, runs):
     # at e <= 1 the minimal polynomial proves <f, f_x, f_y, theta> = (1), so
     # the Milnor stage makes only its quotient runs and no decision run, and
-    # the raw set is one rank-2 run on the candidate's forms: no syzygy run,
-    # no rank-3 run and no projection of a relation basis
+    # the raw set is one rank-2 run on the candidate's forms and no run of
+    # the relations among (-f_y, f_x) modulo f
     f = parse_polynomial(text, field_from_minpoly(minpoly) if minpoly else QQ)
     calls = recording_calls(monkeypatch, milnor, "_run_buchberger")
-    relation_runs = recording_calls(monkeypatch, tangent, "syzygies")
-    projections = recording_calls(monkeypatch, groebner.GroebnerBasis, "projected")
+    relation_runs = recording_calls(monkeypatch, tangent, "_relations")
     bases, original = [], tangent.buchberger
 
     def recording(*args):
@@ -214,9 +213,7 @@ def test_exponent_decides_the_unit_ideal_without_a_run(monkeypatch, text, minpol
     rep = analyze(f, allow_untame=allow_untame)
     assert calls == {"_run_buchberger": runs}
     assert rep.generation["generates"] is (rep.exponent <= 1)
-    relation_route = int(rep.exponent > 1)
-    assert relation_runs == {"syzygies": relation_route}
-    assert projections == {"projected": relation_route}
+    assert relation_runs == {"_relations": int(rep.exponent > 1)}
     # the rank-2 run on the forms, or verify_generation's run at e >= 2
     assert [gb.rank for gb in bases] == [2]
 
@@ -259,11 +256,11 @@ def test_analyze_tracks_and_decodes_only_what_it_reads(monkeypatch, text,
     # carries cofactors, in the tags of its augmented run, with no buchberger
     # call of its own; at e <= 1 the raw set is one run on the candidate's
     # forms, and generation is decided by a run only at e >= 2, where the
-    # raw set is the projection of the augmented run's relations; the
-    # minimal stage prunes the raw set's basis without a run of its own, and
-    # the reported forms are decoded from it, so the only basis that
-    # buchberger returns and that is decoded to field scalars is the raw
-    # set's at e <= 1
+    # raw set is read off the augmented run of the relations among
+    # (-f_y, f_x) modulo f; the minimal stage prunes the raw set's basis
+    # without a run of its own, and the reported forms are decoded from
+    # it, so the only basis that buchberger returns and that is decoded to
+    # field scalars is the raw set's at e <= 1
     fld = field_from_minpoly(minpoly) if minpoly else QQ
     f = parse_polynomial(text, fld)
     coding, order = groebner._coding(fld), groebner.ModuleOrder(TermOrder())

@@ -12,9 +12,11 @@ The raw set carries the reduced basis of its forms.  analyze takes it from
 one rank-2 run on its candidate's forms at e <= 1, where they span the
 tangent module, and from the augmented run otherwise, followed by a
 generation run exactly when the reference says the candidate does not
-generate.  Its basis must equal the projected basis of the augmented run
-and, at e <= 1, the projected basis of the candidate's lifted relations,
-the route it replaced, on these curves and on the golden inputs.
+generate.  Its basis must equal the projection to (p, q) of the basis of
+the relations (p, q, c) among (-f_y, f_x, f), which the library no longer
+computes, and, at e <= 1, the projected basis of the candidate's lifted
+relations, the routes it replaced, on these curves and on the golden
+inputs.
 """
 
 import hypothesis.strategies as st
@@ -40,40 +42,40 @@ def assert_matches_oracle(f, weights=(1, 1), allow_untame=True):
     None when analyze stops at a curve that is not tame."""
     order = TermOrder(Weights(*weights))
     verified, fallbacks, raws = [], [], []
-    original_verify, original_syzygies = tangent.verify_generation, tangent.syzygies
+    original_verify, original_relations = tangent.verify_generation, tangent._relations
     original_minimal = tangent.minimal_generators
 
     def recording(candidate, reference):
         verified.append(candidate)
         return original_verify(candidate, reference)
 
-    def recording_syzygies(*args):
+    def recording_relations(*args):
         fallbacks.append(args)
-        return original_syzygies(*args)
+        return original_relations(*args)
 
     def recording_minimal(raw):
         raws.append(raw)
         return original_minimal(raw)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tangent, "verify_generation", recording)
-        mp.setattr(tangent, "syzygies", recording_syzygies)
+        mp.setattr(tangent, "_relations", recording_relations)
         mp.setattr(tangent, "minimal_generators", recording_minimal)
         rep = analyze(f, Weights(*weights), allow_untame=allow_untame)
     if rep.generation is None:
         assert not rep.tame and not verified and not raws
         return None
     candidate = rep.four if rep.exponent else rep.trivial
-    # the relation rows of the augmented run, projected to (p, q), are the
-    # raw set of analyze and of the library path
+    # the relation rows (p, q, c) of the fully tagged augmented run,
+    # projected to (p, q), are the raw set of analyze and of the library path
     fx, fy = f.diff("x"), f.diff("y")
     rows = augmented_syzygies([-fy, fx, f], order)
     raw = syzygy_generators(f, order)
     assert raws[0].forms == raw.forms == [OneForm(*r.components[:2]) for r in rows]
     # each raw set carries the reduced basis of its forms, which is the
-    # projected basis of the augmented run and, where the candidate's forms
+    # projected basis of those relations and, where the candidate's forms
     # span the module, of their lifted relations
     references = [buchberger(raw.forms, order),
-                  GroebnerBasis(rows, ModuleOrder(order, 3), f.field, 3).projected(2)]
+                  oracle.projected(GroebnerBasis(rows, ModuleOrder(order, 3), f.field, 3), 2)]
     if rep.exponent <= 1:
         references.append(oracle.lifted_raw_basis(f, order, rep.omega, rep.theta))
     for basis in (raws[0].basis, raw.basis):

@@ -15,6 +15,7 @@ from curveforms.milnor import standard_monomials
 import rational_oracle as oracle
 from conftest import recording_calls
 from dense_oracle import kernel_basis
+from generation_oracle import projected
 
 
 def _p(text):
@@ -308,7 +309,9 @@ def test_rank_two_certificates_recombine():
 
 def test_projection_keeps_a_basis_with_its_leading_terms_in_range():
     # a basis whose leading terms all lie in position 0 projects to the
-    # reduced basis of the first components; any other basis is refused
+    # reduced basis of the first components; any other basis is refused.
+    # The projection is the tests' (generation_oracle.projected): the
+    # library reads relations modulo a module directly and projects nothing
     rng = random.Random(109)
     kept = 0
     for _ in range(60):
@@ -320,14 +323,14 @@ def test_projection_keeps_a_basis_with_its_leading_terms_in_range():
         gb = buchberger(vecs)
         if any(pos for pos, _, _ in gb.leading_terms()):
             with pytest.raises(InvariantViolation):
-                gb.projected(1)
+                projected(gb, 1)
             continue
         kept += 1
         first = buchberger([v.components[0] for v in vecs])
-        projected = gb.projected(1)
-        assert projected.generators == first.generators
-        assert projected.leading_terms() == first.leading_terms()
-        assert projected.order.rank == projected.rank == 1
+        low = projected(gb, 1)
+        assert low.generators == first.generators
+        assert low.leading_terms() == first.leading_terms()
+        assert low.order.rank == low.rank == 1
     assert kept > 10
 
 
@@ -335,7 +338,7 @@ def test_projection_refuses_a_leading_term_outside_the_rank():
     gb = buchberger([ModuleVector((_p("x"), _p("0"))), ModuleVector((_p("1"), _p("y")))])
     assert sorted(gb.leading_terms()) == [(0, 1, 0), (1, 0, 1)]
     with pytest.raises(InvariantViolation):
-        gb.projected(1)
+        projected(gb, 1)
 
 
 def test_module_vectors_and_orders():

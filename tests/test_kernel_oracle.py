@@ -46,9 +46,9 @@ _AUGMENTED_RUN = groebner._augmented_run
 
 
 def augmented_syzygies(gens, order=None):
-    """The relation rows of the augmented run, which syzygy_generators falls
-    back to, read by syzygies outside any count of augmented runs; kept as
-    the oracle of the rank-2 run on the trivial forms."""
+    """The relation rows (p, q, c) of the fully tagged augmented run, read by
+    syzygies outside any count of augmented runs; their (p, q) are the
+    oracle of both routes of syzygy_generators, which reads no c column."""
     with augmented_runs():
         return syzygies(gens, order)
 
@@ -129,7 +129,8 @@ def test_corpus_curve_matches_oracle(text, weights, minpoly):
     assert_field_scalars(*syzygies(gens))
     assert syzygies(gens, TermOrder(weights)) == oracle.syzygies(gens, TermOrder(weights))
     # the library path takes its basis from one run on f dx, f dy and df
-    # when <f, f_x, f_y> = (1), and it is the augmented run's projection
+    # when <f, f_x, f_y> = (1), and from the relations among (-f_y, f_x)
+    # modulo f otherwise; either way it is the (p, q) of these rows
     assert_route_matches(f, TermOrder(weights), generates_one(gens))
 
 
@@ -339,8 +340,8 @@ def test_tracked_and_untracked_remainders_agree(case):
 
 def assert_route_matches(f, order, route):
     """syzygy_generators(f, order) gives the (p, q) of the augmented run's
-    relations among (-f_y, f_x, f), and runs it only when the route is not
-    taken."""
+    relations among (-f_y, f_x, f), and makes an augmented run, its own with
+    two tags, only when the route is not taken."""
     gens = [-f.diff("y"), f.diff("x"), f]
     rows = augmented_syzygies(gens, order)
     for row in rows:
@@ -375,6 +376,44 @@ def test_koszul_route_matches_augmented_run(case):
     if f.is_constant():
         return
     assert_route_matches(f, order, generates_one([f, f.diff("x"), f.diff("y")]))
+
+
+@st.composite
+def relation_triples(draw):
+    """(a, b, m) over Q or Q(i) with every term of degree <= 3 and m != 0,
+    and an order.  The rational oracle's three-column run is the slow side
+    of the comparison, and its coefficients grow fast with the degree, so
+    the draws stay small enough for a tier-1 run."""
+    field = draw(st.sampled_from([QQ, GAUSS]))
+    gens = []
+    for k in range(3):
+        terms = {}
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, 3))
+            c = draw(scalars(field))
+            if c:
+                terms[(i, draw(st.integers(0, 3 - i)))] = c
+        gens.append(Polynomial(field, terms) if terms or k < 2
+                    else Polynomial.constant(1, field))
+    return gens, TermOrder(draw(st.sampled_from(WEIGHTS[:3])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(relation_triples())
+@example(([_curve("2*y", None), _curve("3*x^2", None), _curve("x^3-y^2", None)],
+          TermOrder((3, 2))))                        # (-f_y, f_x, f) of the cusp
+@example(([Polynomial.zero(), Polynomial.zero(), _curve("x*y", None)], TermOrder()))
+def test_two_tag_run_matches_the_projected_relations(case):
+    # the relations among (a, b) modulo m, read off one run that tags only a
+    # and b, are the reduced basis of the (a, b) columns of the relations
+    # (a, b, c) among (a, b, m) on the rational oracle
+    gens, order = case
+    columns = [ModuleVector(row.components[:2]) for row in oracle.syzygies(gens, order)]
+    ref = oracle.buchberger(columns, order)
+    gb = groebner._relations(gens, order, 2)
+    assert gb.generators == ref.generators
+    assert gb.leading_terms() == [lt for _, lt in ref.rows]
+    assert gb.order.rank == gb.rank == 2
 
 
 @pytest.mark.parametrize("text,koszul", [

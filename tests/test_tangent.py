@@ -18,7 +18,7 @@ from curveforms import (GroebnerBasis, InvalidInput, InvariantViolation,
                         theta_polynomial, trivial_forms, verify_generation,
                         wedge)
 from curveforms import ZeroInput, cli, groebner, tangent
-from conftest import tame_curves, through_origin
+from conftest import recording_calls, tame_curves, through_origin
 import generation_oracle as oracle
 
 
@@ -76,11 +76,6 @@ def test_syzygy_generators_are_tangent(f):
         assert is_tangent(f, w)
 
 
-def _corrupt_first_row(rows):
-    p, q, c = rows[0].components
-    return [ModuleVector((p + Polynomial.constant(1, p.field), q, c))] + rows[1:]
-
-
 @pytest.mark.parametrize("n", [5, 7, 8])
 def test_decision_run_takes_the_route_of_a_proven_unit_ideal(n):
     # the run that decides <f, f_x, f_y> = (1) stops at its first constant,
@@ -89,17 +84,6 @@ def test_decision_run_takes_the_route_of_a_proven_unit_ideal(n):
     decided, spanned = syzygy_generators(f), buchberger(trivial_forms(f))
     assert decided.forms == [OneForm(*v.components) for v in spanned.generators]
     assert decided.basis._cores == spanned._cores
-
-
-def test_corrupted_relation_is_an_invariant_violation(monkeypatch, capsys):
-    original = tangent.syzygies
-    monkeypatch.setattr(tangent, "syzygies",
-                        lambda *args: _corrupt_first_row(original(*args)))
-    with pytest.raises(InvariantViolation):
-        syzygy_generators(_p(ACAMPO))
-    # an engine fault, not bad input: exit 3
-    assert cli.main(["analyze", "-f", ACAMPO]) == 3
-    assert "relation does not certify tangency" in capsys.readouterr().err
 
 
 def _corrupt_first_form(gb):
@@ -119,14 +103,15 @@ def _corrupt_first_form(gb):
     ids=["hyperbola", "quartic_qi", "acampo"])
 def test_corrupted_raw_form_is_an_invariant_violation(monkeypatch, capsys, text,
                                                       minpoly):
-    # the rank-2 run on the candidate's forms and the projection of the
-    # augmented run are certified by one check: f divides the wedge of each
-    # form with df
-    original_run, original_projected = tangent.buchberger, GroebnerBasis.projected
+    # the rank-2 run on the candidate's forms and the augmented run of the
+    # relations among (-f_y, f_x) modulo f (A'Campo's route, in analyze and
+    # in syzygy_generators) are certified by one check: f divides the wedge
+    # of each form with df
+    original_run, original_relations = tangent.buchberger, tangent._relations
     monkeypatch.setattr(tangent, "buchberger",
                         lambda *args: _corrupt_first_form(original_run(*args)))
-    monkeypatch.setattr(GroebnerBasis, "projected",
-                        lambda *args: _corrupt_first_form(original_projected(*args)))
+    monkeypatch.setattr(tangent, "_relations",
+                        lambda *args: _corrupt_first_form(original_relations(*args)))
     field = field_from_minpoly(minpoly) if minpoly else QQ
     with pytest.raises(InvariantViolation):
         syzygy_generators(parse_polynomial(text, field))
@@ -165,6 +150,29 @@ def test_jacobian_basis_tracks_no_cofactors(monkeypatch):
     monkeypatch.setattr(groebner, "_augmented_run", recording)
     milnor_algebra(_p(ACAMPO))
     assert not runs
+
+
+@pytest.mark.parametrize("route, expected", [
+    ("analyze", [(2, None), (3, 2)]),   # omega's membership, then T
+    ("library", [(3, 2)])])
+def test_relations_modulo_f_take_one_two_tag_run(monkeypatch, route, expected):
+    # A'Campo n = 5 under analyze (e = 2) and Lins Neto on the library path
+    # (<f, f_x, f_y> != (1)) read the tangent module off one augmented run
+    # seeded with -f_y, f_x and f, of which only the first two carry a tag,
+    # and make no three-column relation run
+    runs, original = [], groebner._augmented_run
+
+    def recording(vecs, rank, field, order, tagged=None):
+        runs.append((len(vecs), tagged))
+        return original(vecs, rank, field, order, tagged)
+    monkeypatch.setattr(groebner, "_augmented_run", recording)
+    relation_runs = recording_calls(monkeypatch, groebner, "syzygies")
+    if route == "analyze":
+        analyze(_p(ACAMPO))
+    else:
+        syzygy_generators(_p("(x^3-1)*(y^3-1)*(x^3-y^3)"))
+    assert runs == expected
+    assert relation_runs == {"syzygies": 0}
 
 
 @pytest.mark.parametrize("text, minpoly, count", [
