@@ -190,18 +190,17 @@ def analyze(f: Polynomial, weights: Weights = Weights(1, 1), *,
     ma = milnor.milnor_algebra(f, weights, allow_untame=allow_untame,
                                tame_res=tame_res)
     report.mu = ma.mu
-    op = milnor.multiplication_operator(ma)
-    p = milnor.min_poly(op)
+    p = milnor.min_poly(ma)
     report.min_poly = p
     report.exponent = milnor.exponent(p)
-    # tau = mu - rank(op) is 0 when t does not divide p (op is invertible);
+    # tau = mu - rank(f) is 0 when t does not divide p (f is invertible);
     # else the Tjurina run's rows also serve kernel_condition
     report.tau = milnor.tjurina_number(ma) if report.exponent else 0
     report.critical_factors = milnor.critical_value_factors(p)
-    report.jordan = [milnor.jordan_profile(op, cfac.factor)
+    report.jordan = [milnor.jordan_profile(ma, cfac.factor)
                      for cfac in report.critical_factors]
     if report.exponent:
-        report.kernel_condition = milnor.kernel_condition(op)
+        report.kernel_condition = milnor.kernel_condition(ma)
         warning = appendix_block_warning(report.exponent, report.kernel_condition)
         if warning:
             report.warnings.append(warning)
@@ -225,7 +224,7 @@ def analyze(f: Polynomial, weights: Weights = Weights(1, 1), *,
     if report.exponent == 0:
         candidate = tangent.smooth_generators(f, report.exponent)
     else:
-        report.theta = milnor.theta_polynomial(op)
+        report.theta = milnor.theta_polynomial(ma)
         candidate = tangent.four_generators(f, ma, report.theta)
         report.four = candidate.forms
         report.omega = candidate.forms[-1]

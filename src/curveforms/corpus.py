@@ -145,12 +145,11 @@ def run_quasihomog(rec):
         rec.check(f"{tag}_pair_generates",
                   tangent.verify_generation([dg, eta], raw).generates)
         ma = milnor.milnor_algebra(g, weights)
-        op = milnor.multiplication_operator(ma)
-        profile = milnor.jordan_profile(op, UniPoly.t())
+        profile = milnor.jordan_profile(ma, UniPoly.t())
         rec.check(f"{tag}_blocks_size_one", set(profile.blocks) == {1},
                   profile.blocks)
-        theta = milnor.theta_polynomial(op)
-        rec.check(f"{tag}_kernel_condition", milnor.kernel_condition(op))
+        theta = milnor.theta_polynomial(ma)
+        rec.check(f"{tag}_kernel_condition", milnor.kernel_condition(ma))
         four = tangent.four_generators(g, ma, theta)
         rec.check(f"{tag}_four_generates",
                   tangent.verify_generation(four, raw).generates)
@@ -175,12 +174,11 @@ def run_acampo(rec):
     rec.equal("min_poly", rep.min_poly, ACAMPO_MIN_POLY)
     rec.equal("exponent", rep.exponent, 2)
     ma = milnor.milnor_algebra(f)
-    op = milnor.multiplication_operator(ma)
     rec.equal("jordan_at_zero",
-              milnor.jordan_profile(op, UniPoly.t()).blocks, {1: 9, 2: 1})
+              milnor.jordan_profile(ma, UniPoly.t()).blocks, {1: 9, 2: 1})
     h = UniPoly((Rational(16, 3125), 1))
     rec.equal("jordan_at_second_value",
-              milnor.jordan_profile(op, h).blocks, {1: 5})
+              milnor.jordan_profile(ma, h).blocks, {1: 5})
     # multiplication by f has rank mu - tau and a kernel of dimension tau
     rec.equal("rank", rep.mu - rep.tau, 6)
     rec.equal("kernel_dim", rep.tau, 10)
@@ -215,8 +213,7 @@ LINSNETO_PAIR = (("-(y^3-1)*x^2", "(x^3-1)*y^2"),
 def run_linsneto(rec):
     f = _pp("(x^3-1)*(y^3-1)*(x^3-y^3)")
     ma = milnor.milnor_algebra(f, allow_untame=True)
-    op = milnor.multiplication_operator(ma)
-    profile = milnor.jordan_profile(op, UniPoly.t())
+    profile = milnor.jordan_profile(ma, UniPoly.t())
     rec.check("blocks_size_one_first", set(profile.blocks) == {1},
               profile.blocks)
     rep = analysis.analyze(f, allow_untame=True)

@@ -215,9 +215,12 @@ class ExtElement:
 
 
 class NumberField:
-    """Q[z]/(m(z)) for a monic squarefree m of degree >= 2 over Q.  Elements
-    are coded on the powers of w = scale*z, scale the lcm of the denominators
-    of m, so w is integral: its minimal polynomial is scale^n * m(w/scale)."""
+    """Q[z]/(m(z)) for a monic squarefree m of degree >= 2 over Q.  m is not
+    checked for irreducibility: a reducible m gives a product of fields, and
+    only inverting a zero divisor raises DivisionByZero ("non-invertible
+    element; the minimal polynomial is reducible").  Elements are coded on
+    the powers of w = scale*z, scale the lcm of the denominators of m, so w
+    is integral: its minimal polynomial is scale^n * m(w/scale)."""
 
     kind = "extension"
 

@@ -397,6 +397,7 @@ class GroebnerBasis:
         v = ModuleVector.wrap(v)
         if v.rank != self.rank:
             raise RankMismatch(f"rank {v.rank} against a rank-{self.rank} basis")
+        check_same_field(self.field, v.field)
         core, scale = self.coding.encode(_vec_core(v, self.order.key))
         rem, mult = _normal_form_core(core, [c for c, _ in self._cores],
                                       [t for _, t in self._cores], True, self.coding)
@@ -533,6 +534,7 @@ def membership(v, gens, order=None) -> Membership:
     v = ModuleVector.wrap(v)
     if v.rank != rank:
         raise RankMismatch("query rank differs from the generators")
+    check_same_field(field, v.field)
     coding = _coding(field)
     rows = [row for row in _augmented_run(vecs, rank, field, order) if row[1] & _ELIM]
     key = ModuleOrder(order.base, rank + len(vecs), elim=rank).key

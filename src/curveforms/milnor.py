@@ -8,8 +8,10 @@ V is a unital commutative algebra, so nothing here needs the mu x mu matrix
 or its powers.  The minimal polynomial p of multiplication by f is the
 annihilator of the class [1], read off the Krylov sequence [1], [f],
 [f^2], ... (Wiedemann 1986).  The classes [f^k], k < deg p, that this passes
-are kept on the operator, so every class h(f) with deg h < deg p, theta =
-q(f) among them, is their combination with the coefficients of h.
+are cached on the algebra with p, so every class h(f) with deg h < deg p,
+theta = q(f) among them, is their combination with the coefficients of h.
+The operator op, multiplication by f, is fixed by V and f, so every
+function here takes the MilnorAlgebra itself.
 Multiplication by a class g has the ideal (g) of V as its image, so its rank
 is mu - dim K[x,y]/<f_x, f_y, g>, a count of standard monomials; rank
 sequences and the Tjurina number tau = dim K[x,y]/<f_x, f_y, f> are
@@ -114,7 +116,6 @@ class MilnorAlgebra:
     f: Polynomial
     weights: Weights
     order: TermOrder
-    d: int                      # weighted degree of f
     gb: GroebnerBasis           # of the Jacobian ideal
     basis: list                 # standard monomials, ascending
     mu: int
@@ -132,6 +133,9 @@ class MilnorAlgebra:
     f_class = cached_property(lambda self: self.gb._reduce(self.f))
     codes = cached_property(lambda self: {self.gb.order.key((0,) + m): k
                                           for k, m in enumerate(self.basis)})
+    # the minimal polynomial p of multiplication by f and the pairs
+    # (w_k, scale_k), [f^k] = scale_k * w_k
+    krylov = cached_property(lambda self: _krylov(self))
 
 
 def milnor_algebra(f: Polynomial, weights: Weights = Weights(1, 1), *,
@@ -156,39 +160,27 @@ def milnor_algebra(f: Polynomial, weights: Weights = Weights(1, 1), *,
         raise InvariantViolation(
             f"dim V_f = {mu} but dim V_g = {tame_res.g_dimension}")
     a1, a2 = weights
-    d = f.weighted_degree(weights)
-    top = 2 * d - 2 * a1 - 2 * a2
+    top = 2 * f.weighted_degree(weights) - 2 * a1 - 2 * a2
     unique_top = None
     if tame_res.tame and mu > 0:
         at_top = [m for m in basis if m[0] * a1 + m[1] * a2 == top]
         above = [m for m in basis if m[0] * a1 + m[1] * a2 > top]
         unique_top = len(at_top) == 1 and not above
-    return MilnorAlgebra(f=f, weights=weights, order=order, d=d, gb=gb,
+    return MilnorAlgebra(f=f, weights=weights, order=order, gb=gb,
                          basis=basis, mu=mu, tame=tame_res.tame,
                          g_dimension=tame_res.g_dimension, top_degree=top,
                          unique_top=unique_top)
 
 
-class MultiplicationOperator:
-    """Multiplication by f on V_f, with the algebra it acts on.  ``krylov``
-    is filled once, by min_poly: the minimal polynomial p and the pairs
-    (w_k, scale_k), [f^k] = scale_k * w_k."""
-
-    __slots__ = ("algebra", "krylov")
-
-    def __init__(self, algebra: MilnorAlgebra):
-        self.algebra, self.krylov = algebra, None
+def _algebra_of(ma) -> MilnorAlgebra:
+    if not isinstance(ma, MilnorAlgebra):
+        raise TypeError("expected the MilnorAlgebra built by milnor_algebra")
+    return ma
 
 
-def multiplication_operator(ma: MilnorAlgebra) -> MultiplicationOperator:
-    """[P] -> [f*P]; nothing, not even f, is reduced before a product."""
-    return MultiplicationOperator(ma)
-
-
-def _algebra_of(op) -> MilnorAlgebra:
-    if not isinstance(op, MultiplicationOperator):
-        raise TypeError("expected the operator built by multiplication_operator")
-    return op.algebra
+def multiplication_operator(ma: MilnorAlgebra) -> MilnorAlgebra:
+    """[P] -> [f*P] is fixed by V_f and f, so the algebra is the operator."""
+    return _algebra_of(ma)
 
 
 def _times(ma: MilnorAlgebra, vec) -> tuple:
@@ -204,10 +196,10 @@ def _times(ma: MilnorAlgebra, vec) -> tuple:
     return coding.scaled(rem, -1), fscale / mult
 
 
-def _class_of(op: MultiplicationOperator, h: UniPoly):
+def _class_of(ma: MilnorAlgebra, h: UniPoly):
     """[h(f)] for deg h < deg p as (vector, scale): the Krylov combination
     sum h_i * scale_i * w_i, summed on the coding of -h_i * scale_i."""
-    coding, krylov = op.algebra.gb.coding, _krylov(op)[1]
+    coding, krylov = ma.gb.coding, ma.krylov[1]
     neg, s = coding.encode({i: -c * krylov[i][1] for i, c in enumerate(h.coeffs) if c})
     acc = {}
     for i, c in neg.items():
@@ -238,20 +230,17 @@ def _quotient_dimension(ma: MilnorAlgebra, g) -> int:
 
 def tjurina_number(ma: MilnorAlgebra) -> int:
     """tau = dim K[x,y]/<f_x, f_y, f>; multiplication by f has rank mu - tau."""
-    return _quotient_dimension(ma, ma.f_class[0])
+    return _quotient_dimension(ma, _algebra_of(ma).f_class[0])
 
 
-def _krylov(op: MultiplicationOperator) -> tuple:
-    """op.krylov, filled on first use: the annihilator p of [1] in the
-    Krylov sequence [1], [f], [f^2], ..., and the pairs (w_k, scale_k).
+def _krylov(ma: MilnorAlgebra) -> tuple:
+    """The body of ma.krylov: the annihilator p of [1] in the Krylov
+    sequence [1], [f], [f^2], ..., and the pairs (w_k, scale_k).
 
-    [f^k] = scale_k * w_k, w_{k+1} = op(w_k) less its content.  The kernel
+    [f^k] = scale_k * w_k, w_{k+1} = f*w_k less its content.  The kernel
     reduces w_k, its coordinates at positions 0 .. mu-1 and a unit tag at
     mu + k, against the earlier ones; the first whose coordinates vanish
     leaves the dependence in its tags."""
-    ma = _algebra_of(op)
-    if op.krylov is not None:
-        return op.krylov
     coding, key = ma.gb.coding, ModuleOrder(TermOrder()).key
     at = {t: key((k, 0, 0)) for t, k in ma.codes.items()}
     one = coding.encode({0: ma.field.one})[0][0]
@@ -267,8 +256,7 @@ def _krylov(op: MultiplicationOperator) -> tuple:
             scales = [s for _, s in krylov] + [scale]
             p = UniPoly([tags.get(key((ma.mu + i, 0, 0)), ma.field.zero) * (1 / s)
                          for i, s in enumerate(scales)], ma.field).monic()
-            op.krylov = p, krylov
-            return op.krylov
+            return p, krylov
         krylov.append((w, scale))
         basis.append(coding.normalized(rem, lt))
         lts.append(lt)
@@ -278,10 +266,10 @@ def _krylov(op: MultiplicationOperator) -> tuple:
     raise InvariantViolation("the Krylov vectors admit no linear dependence")
 
 
-def min_poly(op: MultiplicationOperator) -> UniPoly:
-    """Monic minimal polynomial of the multiplication operator, read off the
-    Krylov sequence of [1] on first use and kept on the operator."""
-    return _krylov(op)[0]
+def min_poly(ma: MilnorAlgebra) -> UniPoly:
+    """Monic minimal polynomial of multiplication by f, read off the Krylov
+    sequence of [1] on first use and cached on the algebra."""
+    return _algebra_of(ma).krylov[0]
 
 
 def exponent(p: UniPoly) -> int:
@@ -318,7 +306,7 @@ def blocks_from_ranks(ranks) -> dict:
     return {size: count for size, count in counts.items() if count}
 
 
-def jordan_profile(op: MultiplicationOperator, factor: UniPoly) -> JordanProfile:
+def jordan_profile(ma: MilnorAlgebra, factor: UniPoly) -> JordanProfile:
     """Block sizes at the roots of ``factor`` from the rank sequence of
     h(op)^k, h = factor.
 
@@ -327,7 +315,7 @@ def jordan_profile(op: MultiplicationOperator, factor: UniPoly) -> JordanProfile
     d_{k-1} * gcd(p/d_{k-1}, h): mu - dim K[x,y]/<f_x, f_y, d_k(f)>, or 0
     once d_k = p.  The ranks fall strictly exactly while d_k grows, so the
     sequence stops when gcd(p/d_k, h) = 1."""
-    ma, p = _algebra_of(op), _krylov(op)[0]
+    p = _algebra_of(ma).krylov[0]
     if factor == p:
         return JordanProfile(factor, blocks_from_ranks([ma.mu, 0]))
     if not (p % factor).is_zero():
@@ -335,7 +323,7 @@ def jordan_profile(op: MultiplicationOperator, factor: UniPoly) -> JordanProfile
             f"{factor} does not divide the minimal polynomial {p}")
     ranks, d = [ma.mu], factor.monic()
     while d != p:
-        ranks.append(ma.mu - _quotient_dimension(ma, _class_of(op, d)[0]))
+        ranks.append(ma.mu - _quotient_dimension(ma, _class_of(ma, d)[0]))
         step = p.exact_div(d).gcd(factor)
         if step.degree() == 0:
             break
@@ -345,15 +333,15 @@ def jordan_profile(op: MultiplicationOperator, factor: UniPoly) -> JordanProfile
     return JordanProfile(factor, blocks_from_ranks(ranks))
 
 
-def theta_polynomial(op: MultiplicationOperator) -> Polynomial:
+def theta_polynomial(ma: MilnorAlgebra) -> Polynomial:
     """Degree-bounded representative of q(f) in V_f, where p(t) = t*q(t).
 
     The Krylov combination of q, never an expansion of q(f); one product
     with f certifies f*theta in the Jacobian ideal."""
-    ma, p = _algebra_of(op), _krylov(op)[0]
+    p = _algebra_of(ma).krylov[0]
     if exponent(p) < 1:
         raise SmoothCurve("0 is not a critical value; no kernel witness exists")
-    vec, scale = _class_of(op, p.shift_down(1))
+    vec, scale = _class_of(ma, p.shift_down(1))
     theta = _core_vec(ma.gb.coding.decode(vec, scale), 1, ma.field).components[0]
     if theta.is_zero():
         raise InvariantViolation("q(f) vanished in V_f; minimal polynomial wrong")
@@ -362,7 +350,7 @@ def theta_polynomial(op: MultiplicationOperator) -> Polynomial:
     return theta
 
 
-def kernel_condition(op: MultiplicationOperator) -> bool:
+def kernel_condition(ma: MilnorAlgebra) -> bool:
     """True iff the ideal (theta) of V_f, theta = q(f), p = t*q, is ker(op).
 
     Write p = t^e * r, r(0) != 0.  (theta) = im q(op), q = t^(e-1) r: r(op)
@@ -372,12 +360,12 @@ def kernel_condition(op: MultiplicationOperator) -> bool:
     at most e and sizes summing to dim ker(op^e), so the condition is
     dim ker(op^e) = e*tau, true at e = 1.  ker(op^e) is V_f when p = t^e,
     else of dimension dim V_f/([f^e]): one run, on the class of t^e."""
-    ma, p = _algebra_of(op), _krylov(op)[0]
+    p = _algebra_of(ma).krylov[0]
     e = exponent(p)
     if e < 1:
         raise SmoothCurve("0 is not a critical value; no kernel condition")
     if e == 1:
         return True
     power = UniPoly([0] * e + [1], ma.field)
-    kernel_dim = ma.mu if power == p else _quotient_dimension(ma, _class_of(op, power)[0])
+    kernel_dim = ma.mu if power == p else _quotient_dimension(ma, _class_of(ma, power)[0])
     return kernel_dim == e * tjurina_number(ma)

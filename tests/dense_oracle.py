@@ -20,11 +20,10 @@ from curveforms.milnor import (CriticalFactor, JordanProfile,
                                blocks_from_ranks, standard_monomials)
 
 
-def dense_operator(op):
-    """The matrix of a MultiplicationOperator: column m holds the
-    coordinates of f*m in the public normal form, never the operator's own
-    product."""
-    ma = op.algebra
+def dense_operator(ma):
+    """The matrix of multiplication by f on a MilnorAlgebra: column m holds
+    the coordinates of f*m in the public normal form, never the algebra's
+    own product."""
     cols = [coordinates(ma, ma.f * Polynomial.term(ma.field.one, m, ma.field))
             for m in ma.basis]
     return Matrix(ma.field, [list(row) for row in zip(*cols)])
@@ -143,7 +142,7 @@ class NotInKernel(Exception):
 
 def dense_kernel_condition(ma, op, theta):
     """True iff the classes theta*b, b over the basis, span ker(op), for any
-    theta in ker(op)."""
+    theta in ker(op); op is multiplication_operator(ma), ma itself."""
     dense = dense_operator(op)
     tvec = coordinates(ma, theta)
     if any(not ma.field.is_zero(c) for c in apply(dense, tvec)):
@@ -157,10 +156,10 @@ def dense_kernel_condition(ma, op, theta):
 
 # -- field-scalar forms of the algebra's algorithms ---------------------------
 
-def krylov_min_poly(op):
+def krylov_min_poly(ma):
     """Annihilator of [1] in the Krylov sequence [1], [f], [f^2], ..., by an
     echelon solve over the field."""
-    m, ma = dense_operator(op), op.algebra
+    m = dense_operator(ma)
 
     def krylov(vec):
         for _ in range(ma.mu + 1):
@@ -191,10 +190,10 @@ def tjurina_number(ma):
     return quotient_dimension(ma, ma.gb.normal_form(ma.f))
 
 
-def jordan_profile(op, factor):
-    """Block sizes from the rank sequence of factor(op)^k, each rank a
+def jordan_profile(ma, factor):
+    """Block sizes from the rank sequence of factor(f)^k, each rank a
     quotient dimension of factor(f)^k."""
-    ma, m = op.algebra, dense_operator(op)
+    m = dense_operator(ma)
     ranks = [ma.mu]
     vec = coordinates(ma, Polynomial.constant(1, ma.field))
     while True:

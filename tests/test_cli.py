@@ -76,6 +76,16 @@ def test_analyze_with_minpoly(capsys):
     assert "extension" in out
 
 
+def test_analyze_zero_divisor_of_a_reducible_minpoly(capsys):
+    # z^2-1 = (z-1)(z+1) is accepted; the run fails only where it divides
+    # by a zero divisor, and that is bad input
+    code = main(["analyze", "-f", "(x-z)*(x-1)*y+x^3+y^3", "--minpoly", "z^2-1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "non-invertible element; the minimal polynomial is reducible" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_with_weights(capsys):
     code = main(["analyze", "-f", "x^2+y^3", "--weights", "3", "2"])
     assert code == 0

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from curveforms import (FieldMismatch, InvalidInput, InvariantViolation,
-                        ModuleOrder, ModuleVector, NumberField, Polynomial, QQ,
-                        RankMismatch, TermOrder, buchberger, membership,
-                        parse_polynomial, recombine, syzygies)
+                        ModuleOrder, ModuleVector, NumberField, OneForm,
+                        Polynomial, QQ, RankMismatch, TermOrder, buchberger,
+                        membership, parse_polynomial, recombine, syzygies,
+                        verify_generation)
 from curveforms import groebner
 from curveforms.groebner import _unpack
 from curveforms.linalg import Matrix
@@ -95,6 +96,23 @@ def test_field_mismatch():
     gauss = NumberField((1, 0, 1))
     with pytest.raises(FieldMismatch):
         buchberger([_p("x"), parse_polynomial("x", gauss)])
+
+
+_F, _G = _p("x^2+y^3"), parse_polynomial("x+z*y", NumberField((1, 0, 1)))
+
+
+@pytest.mark.parametrize("query", [
+    lambda: buchberger([_F]).normal_form(_G),
+    lambda: buchberger([_F]).reduces_to_zero(_G),
+    lambda: membership(_G, [_F, _F.diff("x")]),
+    lambda: membership(_F, [_G]),
+    lambda: verify_generation([OneForm(_F, _F)], [OneForm(_G, _G)]),
+], ids=["normal_form", "reduces_to_zero", "membership_query",
+        "membership_generators", "verify_generation"])
+def test_query_over_another_field(query):
+    # a query over Q(i) against a basis over Q, or the other way round
+    with pytest.raises(FieldMismatch):
+        query()
 
 
 # -- membership -------------------------------------------------------------------

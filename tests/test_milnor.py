@@ -244,6 +244,24 @@ def test_milnor_routines_need_the_algebra():
         theta_polynomial(op)
     with pytest.raises(TypeError):
         kernel_condition(op)
+    with pytest.raises(TypeError):
+        tjurina_number(op)
+
+
+def test_the_operator_is_the_algebra():
+    ma = milnor_algebra(_p(ACAMPO))
+    assert multiplication_operator(ma) is ma
+
+
+def test_krylov_data_is_computed_once_per_algebra(monkeypatch):
+    # deg p = 3: the first min_poly makes three products with f, the second
+    # reads the cached Krylov data, even through a fresh multiplication_operator
+    ma = milnor_algebra(_p(ACAMPO))
+    calls = recording_calls(monkeypatch, milnor, "_times")
+    assert min_poly(multiplication_operator(ma)).degree() == 3
+    assert calls == {"_times": 3}
+    min_poly(multiplication_operator(ma))
+    assert calls == {"_times": 3}
 
 
 def test_tjurina_number_acampo():
@@ -361,7 +379,7 @@ def test_kernel_condition_at_exponent_two_reads_one_rank(monkeypatch):
     # 2*tau = 20; the class of f^2 and the run on it are the only new work
     op = multiplication_operator(milnor_algebra(_p(ACAMPO)))
     min_poly(op)
-    tjurina_number(op.algebra)
+    tjurina_number(op)
     runs = recording_calls(monkeypatch, milnor, "_run_buchberger", "_class_of", "_times")
     assert kernel_condition(op) is False
     assert runs == {"_run_buchberger": 1, "_class_of": 1, "_times": 0}
