@@ -413,24 +413,15 @@ class GroebnerBasis:
 
     def annihilates(self, gens) -> bool:
         """Is every generator (a_k) a relation among the first rank polynomials
-        of gens modulo the last: does gens[-1] divide sum a_k * gens[k]?  On
-        engine vectors: each term t of a_k subtracts t times coded gens[k] at
-        position 0, and the sum reduces to zero against the coded gens[-1]."""
+        of gens modulo the last: does gens[-1] divide sum a_k * gens[k]?  Each
+        sum, from _combinations, reduces to zero against the coded gens[-1]."""
         key, coding = self.order.key, self.coding
-        shifted = [{} for _ in range(self.rank)]
-        for t, c in coding.encode(_vec_core(ModuleVector(tuple(gens[:-1])), key))[0].items():
-            pos, i, j = _unpack(t)
-            shifted[pos][key((0, i, j)) - key((pos, 0, 0))] = c
+        coded = coding.encode(_vec_core(ModuleVector(tuple(gens[:-1])), key))[0]
         # coded and normalized, as the engine divides by it
         [(modulus, lt)] = GroebnerBasis([ModuleVector(gens[-1:])], self.order,
                                         self.field, 1)._cores
-        for core, _ in self._cores:
-            acc = {}
-            for t, c in core.items():
-                coding.subtract(acc, c, shifted[_unpack(t)[0]], None, t)
-            if _normal_form_core(acc, [modulus], [lt], False, coding)[0]:
-                return False
-        return True
+        return not any(_normal_form_core(acc, [modulus], [lt], False, coding)[0] for acc
+                       in _combinations((core for core, _ in self._cores), coded, key, coding))
 
     def irredundant(self, candidates) -> set:
         """Indices of the generators kept by greedy pruning: each candidate in
@@ -444,6 +435,19 @@ class GroebnerBasis:
                                      False, self.coding)[0]:
                 kept.remove(k)
         return kept
+
+
+def _combinations(rows, gens, key, coding):
+    """-sum a_k * g_k at position 0 for each row; a_k, g_k at position k of row, gens."""
+    shifted = {}
+    for t, c in gens.items():
+        pos, i, j = _unpack(t)
+        shifted.setdefault(pos, {})[key((0, i, j)) - key((pos, 0, 0))] = c
+    for row in rows:
+        acc = {}
+        for t, c in row.items():
+            coding.subtract(acc, c, shifted.get(_unpack(t)[0], {}), None, t)
+        yield acc
 
 
 def _prepare(gens, order):

@@ -42,13 +42,13 @@ from typing import Optional
 from .errors import (FactorNotDividing, InvariantViolation, NotFiniteDimensional,
                      NotTame, SmoothCurve, ZeroInput)
 from . import groebner
-from .groebner import (GroebnerBasis, ModuleOrder, _core_vec, _run_buchberger,
+from .groebner import (_ELIM, GroebnerBasis, ModuleOrder, _core_vec, _run_buchberger,
                        _unpack, buchberger)
 from .linalg import UniPoly
 # the dense reference stays bound here: bench/test_bench.py reads
 # milnor.matrix_min_poly when it checks the tracer's bindings
 from .linalg import matrix_min_poly  # noqa: F401
-from .poly import Polynomial, TermOrder, Weights
+from .poly import ModuleVector, Polynomial, TermOrder, Weights
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,8 @@ def check_tame(f: Polynomial, weights: Weights) -> TameResult:
 
 @dataclass
 class MilnorAlgebra:
-    """Basis data for V = K[x,y]/<f_x, f_y>."""
+    """Basis data for V = K[x,y]/<f_x, f_y>; lifts, built on first read, are the
+    rows (g | a), g != 0, of the augmented run on (f_x, f_y) (see membership)."""
 
     f: Polynomial
     weights: Weights
@@ -136,6 +137,9 @@ class MilnorAlgebra:
     # the minimal polynomial p of multiplication by f and the pairs
     # (w_k, scale_k), [f^k] = scale_k * w_k
     krylov = cached_property(lambda self: _krylov(self))
+    lifts = cached_property(lambda self: [row for row in groebner._augmented_run(
+        [ModuleVector((g,)) for g in jacobian(self.f)], 1, self.field, self.gb.order)
+        if row[1] & _ELIM])
 
 
 def milnor_algebra(f: Polynomial, weights: Weights = Weights(1, 1), *,

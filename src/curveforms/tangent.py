@@ -13,7 +13,7 @@ Each constructed form is certified once, by the identity that builds it:
 a raw form by f dividing df ^ w, the kernel form by df ^ omega = theta*f,
 and f dx, f dy, df by df ^ f dx = -f_y*f, df ^ f dy = f_x*f, df ^ df = 0.
 is_tangent checks forms from outside these constructors by one untracked
-division by f; omega takes its cofactors from a membership certificate.
+division by f; omega reads its cofactors off the Milnor algebra's lifts.
 saito_check proves a pair from outside tangent and f reduced, the
 criterion's hypotheses; analyze's own pairs meet them by construction.
 """
@@ -25,8 +25,9 @@ from typing import Optional, Sequence
 
 from .errors import (InvalidInput, InvariantViolation, NotHomogeneous,
                      NotInJacobian, NotSmooth, NotTangent, ZeroInput)
+from . import groebner
 from .field import Rational
-from .groebner import GroebnerBasis, ModuleOrder, _relations, buchberger, membership
+from .groebner import GroebnerBasis, ModuleOrder, _relations, buchberger
 from .milnor import MilnorAlgebra, jacobian, standard_monomials
 from .poly import (ModuleVector, OneForm, Polynomial, TermOrder, Weights,
                    exterior_derivative, format_one_form, wedge)
@@ -115,17 +116,23 @@ def smooth_generators(f: Polynomial, curve_exponent: int) -> GeneratorSet:
 
 def omega_from_theta(f: Polynomial, ma: MilnorAlgebra,
                      theta: Polynomial) -> OneForm:
-    """The distinguished tangent form: f*theta = A*f_x + B*f_y by a membership
-    certificate on (f_x, f_y), and omega = -B dx + A dy.  The cofactors are
-    checked exactly, df ^ omega = theta*f, which certifies omega tangent."""
-    cert = membership(f * theta, jacobian(f), ma.order)
-    if not cert:
+    """The kernel form omega = -B dx + A dy, f*theta = A*f_x + B*f_y, on engine
+    vectors: theta | f_x, f_y coded on one scale, one reduction of -f*theta by
+    ma.lifts to (0 | A, B) times mult, and df ^ omega = theta*f checked exactly."""
+    if ma.f != f:
+        raise InvalidInput("the Milnor algebra was built for another polynomial")
+    coding, key = ma.gb.coding, ModuleOrder(ma.order, 3, elim=1).key
+    (fv, fs), (vec, scale) = (coding.encode(groebner._vec_core(ModuleVector(v), key))
+                              for v in ((f,), (theta, *jacobian(f))))
+    [neg] = groebner._combinations([vec], fv, key, coding)
+    rem, mult = groebner._normal_form_core(neg, *map(list, zip(*ma.lifts)), True, coding)
+    if any(t & groebner._ELIM for t in rem):
         raise NotInJacobian("f*theta does not reduce to zero; bad theta")
-    a, b = cert.cofactors
-    omega = OneForm(-b, a)
-    if wedge(exterior_derivative(f), omega) != f * theta:
+    [acc] = groebner._combinations([rem], vec, key, coding)
+    if coding.scaled(acc, scale.numerator) != coding.scaled(neg, scale.denominator * mult):
         raise InvariantViolation("wedge identity for the kernel form failed")
-    return omega
+    a, b = groebner._core_vec(coding.decode(rem, fs * scale / mult), 2, f.field, 1).components
+    return OneForm(-b, a)
 
 
 def four_generators(f: Polynomial, ma: MilnorAlgebra,

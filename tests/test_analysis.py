@@ -239,8 +239,8 @@ TRACKED_CASES = [
     # (f, minimal polynomial, augmented runs, verify_generation calls,
     #  buchberger calls, runs on <f, f_x, f_y>)
     ("x*y-1", None, 0, 0, 3, 0),          # tau = 0 proves the unit ideal
-    ("x^5+y^5-x^2*y^2", None, 2, 1, 3, 1),  # omega's membership and the fallback
-    ("x^4+2*y^4+x^2-x*y^2+2*x*y-3*y^3", "z^2+1", 1, 0, 3, 1),  # omega's membership
+    ("x^5+y^5-x^2*y^2", None, 2, 1, 3, 1),  # omega's lifts and the fallback
+    ("x^4+2*y^4+x^2-x*y^2+2*x*y-3*y^3", "z^2+1", 1, 0, 3, 1),  # omega's lifts
     ("x^3+y^3+(2+z)*x*y-z", "z^2+1", 0, 0, 3, 0),
 ]
 
@@ -252,9 +252,9 @@ def test_analyze_tracks_and_decodes_only_what_it_reads(monkeypatch, text,
                                                        minpoly, augmented,
                                                        verified, built,
                                                        on_f_runs):
-    # the Jacobian basis is untracked and only omega's membership certificate
-    # carries cofactors, in the tags of its augmented run, with no buchberger
-    # call of its own; at e <= 1 the raw set is one run on the candidate's
+    # the Jacobian basis is untracked and only the Milnor algebra's lifts,
+    # read by omega, carry cofactors, in the tags of their augmented run,
+    # with no buchberger call of its own; at e <= 1 the raw set is one run on the candidate's
     # forms, and generation is decided by a run only at e >= 2, where the
     # raw set is read off the augmented run of the relations among
     # (-f_y, f_x) modulo f; the minimal stage prunes the raw set's basis

@@ -4,8 +4,8 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
-from curveforms import (GroebnerBasis, InvalidInput, InvariantViolation,
-                        Membership, ModuleVector, NotHomogeneous,
+from curveforms import (FieldMismatch, GroebnerBasis, InvalidInput,
+                        InvariantViolation, ModuleVector, NotHomogeneous,
                         NotInJacobian, NotSmooth, NotTangent, OneForm,
                         Polynomial, QQ, TermOrder, Weights, analyze,
                         buchberger, exponent, exterior_derivative,
@@ -122,16 +122,22 @@ def test_corrupted_raw_form_is_an_invariant_violation(monkeypatch, capsys, text,
 
 
 def test_corrupted_kernel_cofactor_is_an_invariant_violation(monkeypatch, capsys):
+    # omega's cofactors are the tags left by one exact reduction by the
+    # algebra's lifts, the only reduction whose divisors all lead in the
+    # flagged first block; doubling one tag term of its remainder must fail
+    # the exact check A*f_x + B*f_y = mult*f*theta
     f = _p(ACAMPO)
     ma = milnor_algebra(f)
-    op = multiplication_operator(ma)
-    theta = theta_polynomial(op)
-    original = tangent.membership
+    theta = theta_polynomial(ma)
+    original = groebner._normal_form_core
 
-    def corrupted(*args):
-        a, b = original(*args).cofactors
-        return Membership(True, [a + Polynomial.variable("x"), b])
-    monkeypatch.setattr(tangent, "membership", corrupted)
+    def corrupted(vec, basis, lts, exact, coding):
+        rem, mult = original(vec, basis, lts, exact, coding)
+        if exact and lts and all(t & groebner._ELIM for t in lts):
+            tag = max(t for t in rem if not t & groebner._ELIM)
+            rem = {**rem, tag: 2 * rem[tag]}
+        return rem, mult
+    monkeypatch.setattr(groebner, "_normal_form_core", corrupted)
     with pytest.raises(InvariantViolation):
         omega_from_theta(f, ma, theta)
     # an engine fault, not bad input: exit 3
@@ -140,8 +146,8 @@ def test_corrupted_kernel_cofactor_is_an_invariant_violation(monkeypatch, capsys
 
 
 def test_jacobian_basis_tracks_no_cofactors(monkeypatch):
-    # omega takes its cofactors from a membership certificate, so the Milnor
-    # algebra's basis is built without an augmented run
+    # omega reads its cofactors off the algebra's lifts, an augmented run
+    # built on first read, so building the algebra makes none
     runs, original = [], groebner._augmented_run
 
     def recording(*args):
@@ -153,7 +159,7 @@ def test_jacobian_basis_tracks_no_cofactors(monkeypatch):
 
 
 @pytest.mark.parametrize("route, expected", [
-    ("analyze", [(2, None), (3, 2)]),   # omega's membership, then T
+    ("analyze", [(2, None), (3, 2)]),   # omega's lifts, then T
     ("library", [(3, 2)])])
 def test_relations_modulo_f_take_one_two_tag_run(monkeypatch, route, expected):
     # A'Campo n = 5 under analyze (e = 2) and Lins Neto on the library path
@@ -241,6 +247,27 @@ def test_four_generator_set_acampo_fails_generation():
     assert not verdict.generates
     assert verdict.witness is not None
     assert not membership(verdict.witness, four.forms).contained
+
+
+def test_omega_rejects_an_algebra_of_another_polynomial():
+    # the lift comes from the algebra, so it must be the algebra of f
+    f, g = _p(ACAMPO), _p("x^3+y^3")
+    theta = theta_polynomial(milnor_algebra(g))
+    for build in (omega_from_theta, four_generators):
+        with pytest.raises(InvalidInput):
+            build(f, milnor_algebra(g), theta)
+    gaussian = parse_polynomial("x^3+y^3", field_from_minpoly("z^2+1"))
+    with pytest.raises(InvalidInput):
+        omega_from_theta(gaussian, milnor_algebra(g), theta)
+
+
+def test_omega_rejects_a_theta_over_another_field():
+    f = _p("x^3+y^3")
+    ma = milnor_algebra(f)
+    theta = parse_polynomial("z", field_from_minpoly("z^2+1"))
+    for build in (omega_from_theta, four_generators):
+        with pytest.raises(FieldMismatch):
+            build(f, ma, theta)
 
 
 def test_four_generators_reject_a_bad_theta():
