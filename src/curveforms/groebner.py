@@ -414,13 +414,17 @@ class GroebnerBasis:
     def annihilates(self, gens) -> bool:
         """Is every generator (a_k) a relation among the first rank polynomials
         of gens modulo the last: does gens[-1] divide sum a_k * gens[k]?  Each
-        sum, from _combinations, reduces to zero against the coded gens[-1]."""
+        sum, from _combinations, reduces to zero against the coded gens[-1];
+        a zero gens[-1] divides only a zero sum, so it reduces by nothing."""
+        if len(gens) != self.rank + 1:
+            raise RankMismatch(f"rank {self.rank} takes {self.rank + 1} polynomials, not {len(gens)}")
         key, coding = self.order.key, self.coding
         coded = coding.encode(_vec_core(ModuleVector(tuple(gens[:-1])), key))[0]
         # coded and normalized, as the engine divides by it
-        [(modulus, lt)] = GroebnerBasis([ModuleVector(gens[-1:])], self.order,
-                                        self.field, 1)._cores
-        return not any(_normal_form_core(acc, [modulus], [lt], False, coding)[0] for acc
+        modulus = GroebnerBasis([ModuleVector(gens[-1:])], self.order, self.field,
+                                1)._cores if gens[-1] else []
+        divisors, lts = [d for d, _ in modulus], [t for _, t in modulus]
+        return not any(_normal_form_core(acc, divisors, lts, False, coding)[0] for acc
                        in _combinations((core for core, _ in self._cores), coded, key, coding))
 
     def irredundant(self, candidates) -> set:

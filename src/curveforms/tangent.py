@@ -169,7 +169,7 @@ def minimal_generators(gens: GeneratorSet) -> GeneratorSet:
     basis of the tangent module.  Removal goes from the largest candidate
     down, so low-degree generators survive; nothing in the result lies in
     the span of the rest."""
-    if gens.basis is None:
+    if getattr(gens, "basis", None) is None:
         raise InvalidInput("minimal generators prune the basis of a syzygy_generators set")
     keys = [(w.total_degree(), format_one_form(w)) for w in gens.forms]
     ascending = sorted(range(len(gens)), key=keys.__getitem__)

@@ -6,10 +6,11 @@ against both the frozen fixture values and the engine's own results.
 """
 
 import random
+import re
 import time
 from fractions import Fraction
 
-from conftest import as_poly, nadd, nmul, nscale, nsub
+from conftest import as_poly, nadd, ndiff, nmul, nscale, nsub
 from curveforms import (OneForm, Polynomial, QQ, UniPoly, Weights,
                         buchberger, exterior_derivative, jordan_profile,
                         membership, milnor_algebra, min_poly,
@@ -134,7 +135,40 @@ def test_criterion_07_rose():
              "rose k=1/2: wedge constant, first integral, pullbacks")
 
 
+def _oracle_parse(text):
+    """Oracle dict of a sum of terms c*x^i*y^j written without brackets."""
+    out = {}
+    for term in re.findall(r"[+-]?[^+-]+", text):
+        coeff, mono = Fraction(-1 if term[0] == "-" else 1), [0, 0]
+        for factor in term.lstrip("+-").split("*"):
+            var, _, power = factor.partition("^")
+            if var in ("x", "y"):
+                mono["xy".index(var)] += int(power or 1)
+            else:
+                coeff *= Fraction(factor)
+        out = nadd(out, {tuple(mono): coeff})
+    return out
+
+
 def test_criterion_08_graphs():
+    # oracle: for f = y - fx, each frozen (y*a1 + a2) dx + a3 dy has
+    # df ^ w = -a1*f, and each pair has w_a ^ w_b = c*f with c a nonzero
+    # rational, the constant saito_check reports
+    constants = {}
+    for d, text in corpus.GRAPH_POLYS.items():
+        f = nsub({(0, 1): Fraction(1)}, _oracle_parse(text))
+        assert as_poly(f) == parse_polynomial(f"y-({text})")
+        forms = [(_oracle_parse(p), _oracle_parse(q)) for p, q in corpus.GRAPH_PAIRS[d]]
+        for p, q in forms:
+            a1 = {(i, 0): c for (i, j), c in p.items() if j == 1}
+            assert _oracle_wedge(ndiff(f, "x"), ndiff(f, "y"), p, q) == nscale(nmul(a1, f), -1)
+        wedge_ab = _oracle_wedge(*forms[0], *forms[1])
+        c = wedge_ab[(0, 1)]  # f has the term y
+        assert c and wedge_ab == nscale(f, c)
+        pair = [OneForm(as_poly(p), as_poly(q)) for p, q in forms]
+        assert saito_check(pair, as_poly(f)).constant == QQ.from_rational(c)
+        constants[d] = c
+    assert constants == {4: Fraction(11, 4), 5: Fraction(-176, 5)}
     _fixture(8, "graph", 10.0,
              "graphs of degree 4 and 5: two generators, degree pattern, "
              "wedge = c*f")

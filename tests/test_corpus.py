@@ -2,12 +2,11 @@
 the same checks as the pinned list in tests/golden/corpus_checks.json."""
 
 import json
-import random
 
 import pytest
 
-from curveforms import QQ, corpus, milnor, parse_polynomial
-from curveforms.linalg import Matrix
+from curveforms import corpus, milnor, parse_polynomial
+from conftest import recording_calls
 from dense_oracle import dense_operator, kernel_basis
 from record_golden import CORPUS_CHECKS, corpus_checks
 
@@ -50,25 +49,8 @@ def test_acampo_rank_and_kernel_from_the_dense_matrix():
     assert len(kernel_basis(m)) == 10
 
 
-def test_graph_kernel_matches_dense_on_the_fixture_rows(monkeypatch):
-    seen = []
-    original = corpus.constant_kernel
-
-    def checked(rows):
-        kernel = original(rows)
-        assert kernel == kernel_basis(Matrix(QQ, rows))
-        seen.append(rows)
-        return kernel
-    monkeypatch.setattr(corpus, "constant_kernel", checked)
-    assert corpus.run_fixture("graph").ok
-    assert seen
-
-
-def test_graph_kernel_matches_dense_on_drawn_matrices():
-    rng = random.Random(5)
-    for _ in range(300):
-        rows = [[QQ.from_int(rng.choice((0, 0, 1, -1, 2, 3, -4)))
-                 for _ in range(rng.randint(1, 6))]]
-        rows += [[QQ.from_int(rng.choice((0, 0, 1, -1, 2, 3, -4))) for _ in rows[0]]
-                 for _ in range(rng.randint(0, 4))]
-        assert corpus.constant_kernel(rows) == kernel_basis(Matrix(QQ, rows))
+def test_acampo_reads_its_jordan_data_off_the_report(monkeypatch):
+    # the fixture's one Milnor algebra is the one analyze builds
+    calls = recording_calls(monkeypatch, milnor, "milnor_algebra")
+    assert corpus.run_fixture("acampo").ok
+    assert calls == {"milnor_algebra": 1}

@@ -9,7 +9,7 @@ from curveforms import (FieldMismatch, InvalidInput, InvariantViolation,
                         Polynomial, QQ, RankMismatch, TermOrder, buchberger,
                         membership, parse_polynomial, recombine, syzygies,
                         verify_generation)
-from curveforms import groebner
+from curveforms import groebner, tangent
 from curveforms.groebner import _unpack
 from curveforms.linalg import Matrix
 from curveforms.milnor import standard_monomials
@@ -405,3 +405,36 @@ def test_buchberger_rejects_all_zero_generators():
         buchberger([zero, zero])
     # a typed error that is still a ValueError
     assert issubclass(InvalidInput, ValueError)
+
+
+# -- annihilates ---------------------------------------------------------------
+
+def _fermat_cubic_relations():
+    """x^3+y^3, its rank-2 tangent basis and the polynomials (-f_y, f_x)."""
+    f = _p("x^3+y^3")
+    return f, tangent.syzygy_generators(f).basis, [-f.diff("y"), f.diff("x")]
+
+
+def test_annihilates_the_relations_among_the_partials_modulo_f():
+    f, gb, partials = _fermat_cubic_relations()
+    assert gb.rank == 2
+    assert gb.annihilates(partials + [f])
+    # (-f_x, f_y): f dx gives -3x^2*f, a multiple of f, but df gives 9(y^4 - x^4)
+    assert not gb.annihilates([-partials[1], -partials[0], f])
+
+
+def test_annihilates_takes_rank_plus_one_polynomials():
+    f, gb, partials = _fermat_cubic_relations()
+    for gens in (partials + [_p("x+1"), f], [f], []):
+        with pytest.raises(RankMismatch):
+            gb.annihilates(gens)
+
+
+def test_a_zero_modulus_divides_only_a_zero_sum():
+    f, gb, partials = _fermat_cubic_relations()
+    zero = Polynomial.zero()
+    # f dx is a relation modulo f but sums to -f_y*f, not to 0
+    assert not gb.annihilates(partials + [zero])
+    # df is an exact relation: -f_y*f_x + f_x*f_y = 0
+    exact = buchberger([OneForm(f.diff("x"), f.diff("y"))])
+    assert exact.annihilates(partials + [zero])

@@ -392,6 +392,9 @@ def test_minimal_generators_need_a_syzygy_set():
     f = _p("x*y-1")
     with pytest.raises(InvalidInput):
         minimal_generators(smooth_generators(f, 0))
+    # a plain list of forms has no basis to prune either
+    with pytest.raises(InvalidInput):
+        minimal_generators(trivial_forms(f))
 
 
 def test_quasihomogeneous_pairs():

@@ -19,6 +19,11 @@ analyze reads its Saito constants without the public check, whose
 hypotheses (both forms tangent, f reduced) its forms meet by construction.
 Every report here gets that check too: a minimal pair is free with the
 report's constant, and a quasi-homogeneous pair (dg, eta) has constant 1.
+
+The paper also says T is free of rank 2.  A minimal triple proves it
+through its one relation row: the row's entries generate (1), so T is
+projective, hence free (Quillen-Suslin).  A set of four forms is not
+checked.
 """
 
 import glob
@@ -30,7 +35,7 @@ import sys
 import pytest
 
 from curveforms import (QQ, OneForm, Weights, analysis, analyze, buchberger,
-                        corpus, parse_polynomial, tangent)
+                        corpus, parse_polynomial, syzygies, tangent)
 from curveforms.poly import field_from_minpoly
 from record_golden import GOLDEN_DIR
 
@@ -104,19 +109,35 @@ def assert_saito(doc):
     return ran
 
 
+def assert_projective(doc):
+    """A minimal set of three forms has one relation row (a_1, a_2, a_3), and
+    its entries generate (1): T is then projective, hence free of rank 2 by
+    Quillen-Suslin, as the paper's theorem says.  Returns the set's size."""
+    f = _parsed_f(doc)
+    minimal = [OneForm(*(parse_polynomial(w[c], f.field) for c in "PQ"))
+               for w in doc["generators"]["minimal"]]
+    if len(minimal) == 3:
+        rows = syzygies(minimal)
+        assert len(rows) == 1, doc["input"]
+        unit = buchberger(list(rows[0].components)).leading_terms() == [(0, 0, 0)]
+        assert unit, doc["input"]
+    return len(minimal)
+
+
 def test_golden_reports_obey_the_theorem():
     paths = [p for p in glob.glob(os.path.join(GOLDEN_DIR, "*.json"))
              if not p.endswith("corpus_checks.json")]
-    checked = saito = 0
+    checked = saito = three = 0
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         checked += assert_theorem(doc)
         saito += assert_saito(doc)
+        three += assert_projective(doc) == 3
     # five inputs (Lissajous, deltoid, rose, Riccati and the Q(i) cusp) are
     # not tame and stop before the Milnor stage; nine reports have a
-    # minimal pair or a quasi-homogeneous block
-    assert (len(paths), checked, saito) == (26, 21, 9)
+    # minimal pair or a quasi-homogeneous block, twelve a minimal triple
+    assert (len(paths), checked, saito, three) == (26, 21, 9, 12)
 
 
 def test_corpus_reports_obey_the_theorem(monkeypatch):
@@ -130,11 +151,12 @@ def test_corpus_reports_obey_the_theorem(monkeypatch):
     assert reports
     assert all(assert_theorem(rep.to_dict()) for rep in reports)
     assert sum(assert_saito(rep.to_dict()) for rep in reports) == 4
+    assert sum(assert_projective(rep.to_dict()) == 3 for rep in reports) == 2
 
 
 @pytest.mark.parametrize("seed", [1, 5, 17])
 def test_small_batch_reports_obey_the_theorem(seed):
-    singular = saito = 0
+    singular = saito = three = 0
     for case in _workloads().small_batch(seed):
         field = field_from_minpoly(case.minpoly) if case.minpoly else QQ
         doc = analyze(parse_polynomial(case.text, field),
@@ -142,8 +164,10 @@ def test_small_batch_reports_obey_the_theorem(seed):
         assert assert_theorem(doc)
         singular += doc["exponent"] >= 1
         saito += assert_saito(doc)
+        three += assert_projective(doc) == 3
     assert singular  # the batch reaches the kernel condition
     assert saito  # and has minimal pairs
+    assert three  # and minimal triples
 
 
 @pytest.mark.parametrize("text, allow_untame", [
