@@ -263,7 +263,8 @@ def _run_buchberger(seeds, order: ModuleOrder, coding):
     (engine vectors in the scalars of ``coding``, see its encode).
 
     Returns a list of (vector, leading code), normalized, sorted by leading
-    term ascending.  Normal selection strategy; deterministic throughout.
+    term ascending.  Normal selection strategy; an elimination run selects by
+    sugar first, which keeps a tagged run off cofactors of high degree.
 
     In rank 1 it returns at the first constant remainder, of a seed or an
     S-vector: the ideal is then (1), every later S-vector would reduce to
@@ -282,15 +283,19 @@ def _run_buchberger(seeds, order: ModuleOrder, coding):
     def divides(t1, t2):
         return t1[0] == t2[0] and t1[1] <= t2[1] and t1[2] <= t2[2]
 
-    pairs = {}  # (i, j) -> (lcm code, lcm term)
+    pairs = {}  # (i, j) -> (sugar, lcm code, lcm term)
+    sugars, by_sugar = [], order.elim > 0
 
-    def update(new_core, new_code):
+    def deg(code):
+        return code >> _S_DEG & _MASK
+
+    def update(new_core, new_code, sugar):
         """Gebauer-Moeller pair update for the arrival of a new element."""
         k = len(G)
         new_lt = _unpack(new_code)
         # drop old pairs strictly dominated by the newcomer
         for (i, j) in list(pairs):
-            lij = pairs[(i, j)][1]
+            lij = pairs[(i, j)][2]
             if (divides(new_lt, lij)
                     and lcm_term(lts[i], new_lt) != lij
                     and lcm_term(lts[j], new_lt) != lij):
@@ -310,25 +315,28 @@ def _run_buchberger(seeds, order: ModuleOrder, coding):
                     lts[i][1] + new_lt[1] == L[1] and lts[i][2] + new_lt[2] == L[2]
                     for i in members):
                 continue  # coprime leading monomials; ideal case only
-            pairs[(min(members), k)] = (keyf(L), L)
+            i, code = min(members), keyf(L)
+            pairs[(i, k)] = (deg(code) + max(sugars[i] - deg(codes[i]), sugar - deg(new_code)), code, L)
         G.append(new_core)
+        sugars.append(sugar)
         codes.append(new_code)
         lts.append(new_lt)
 
     def vectors():
-        yield from sorted(seeds, key=max)
+        for v in sorted(seeds, key=max):
+            yield v, max(map(deg, v))
         while pairs:
-            (i, j) = min(pairs, key=lambda p: (pairs[p][0], p))
-            lcm_code, _ = pairs.pop((i, j))
-            yield _spair_core(G[i], codes[i], G[j], codes[j], lcm_code, coding)
+            (i, j) = min(pairs, key=lambda p: (pairs[p][:2] if by_sugar else pairs[p][1], p))
+            sugar, lcm_code, _ = pairs.pop((i, j))
+            yield _spair_core(G[i], codes[i], G[j], codes[j], lcm_code, coding), sugar
 
-    for v in vectors():
+    for v, sugar in vectors():
         rem, _ = _normal_form_core(v, G, codes, False, coding)
         if rem:
             t = max(rem)
             if t == unit:
                 return [(coding.normalized(rem, t), t)]
-            update(coding.normalized(rem, t), t)
+            update(coding.normalized(rem, t), t, sugar)
 
     # minimalize: drop elements whose leading term another one divides
     kept = []
